@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._linalg import ConvergenceError
-from .harness import RunResult, Scenario, run, sweep
+from .harness import RunResult, Scenario, _violations, run, sweep
 from .lqr import solve_dare_lqr, solve_lqr
 from .model import ValidationError, validate
 from .scenario import ScenarioError, load_scenario
@@ -292,8 +292,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    scenario = _load(args)
-    report = validate(scenario.system, scenario.weights, scenario.noise)
+    report = _violations(_load(args))
     if report:
         for line in report:
             print(f"violation: {line}", file=sys.stderr)

@@ -70,6 +70,57 @@ def luenberger_step(A: np.ndarray, B: np.ndarray, C: np.ndarray, L: np.ndarray,
     return A @ x_hat + B @ u + L @ (y - C @ x_hat)
 
 
+# Covariance kernels.  L_k and P never depend on the data, so the step
+# functions below and the whole-horizon schedules of `_EstimatorPlan` share
+# these; the means are propagated separately.
+
+def _predictor_gain(A, C, Qd, Rv, P, context: str = "predictor innovation covariance"):
+    """L_k and the Joseph-form P_{k+1|k} from P_{k|k-1}."""
+    PCt = P @ C.T
+    S = C @ PCt + Rv
+    # L = A PCt S^{-1}  <=>  S L^T = (A PCt)^T, S symmetric PD.
+    L = solve_spd(S, (A @ PCt).T, context).T
+    ALC = A - L @ C
+    return L, symmetrize(ALC @ P @ ALC.T + Qd + L @ Rv @ L.T)
+
+
+def _time_update(A, Qd, P):
+    """P_{k+1|k} from P_{k|k}."""
+    return symmetrize(A @ P @ A.T + Qd)
+
+
+def _filter_gain(C, Rv, P):
+    """L_k and the Joseph-form P_{k|k} from P_{k|k-1}."""
+    PCt = P @ C.T
+    S = C @ PCt + Rv
+    L = solve_spd(S, PCt.T, "filter innovation covariance").T
+    ILC = np.eye(P.shape[0]) - L @ C
+    return L, symmetrize(ILC @ P @ ILC.T + L @ Rv @ L.T)
+
+
+def _smoother_covariances(A, updated, predicted) -> tuple[np.ndarray, np.ndarray]:
+    """RTS gains Ls_k (k = 0..N-1) and P_{k|N} (k = 0..N) from P_{k|k}, P_{k+1|k}."""
+    N = len(predicted)
+    n = updated[N].shape[0]
+    gains = np.empty((N, n, n))
+    covs = np.empty((N + 1, n, n))
+    covs[N] = updated[N]
+    for k in range(N - 1, -1, -1):
+        gains[k] = Ls = solve_spd(predicted[k], A[k] @ updated[k],
+                                  f"smoother predicted covariance at k={k + 1}").T
+        covs[k] = symmetrize(updated[k] + Ls @ (covs[k + 1] - predicted[k]) @ Ls.T)
+    return gains, covs
+
+
+def _smoother_means(gains, updated: list, predicted: list) -> list:
+    """x_{k|N} = x_{k|k} + Ls_k (x_{k+1|N} - x_{k+1|k}), backward from x_{N|N}."""
+    N = len(predicted)
+    means: list = [None] * N + [updated[N]]
+    for k in range(N - 1, -1, -1):
+        means[k] = updated[k] + gains[k] @ (means[k + 1] - predicted[k])
+    return means
+
+
 def predictor_step(A_k, B_k, C_k, Qd_k, Rv_k, belief: Belief, u_k, y_k
                    ) -> tuple[Belief, np.ndarray]:
     """One Kalman predictor step from (k | k-1) to (k+1 | k).
@@ -85,14 +136,8 @@ def predictor_step(A_k, B_k, C_k, Qd_k, Rv_k, belief: Belief, u_k, y_k
     Rv_k = np.atleast_2d(np.asarray(Rv_k, dtype=float))
     u_k = np.atleast_1d(np.asarray(u_k, dtype=float))
     y_k = np.atleast_1d(np.asarray(y_k, dtype=float))
-    P = belief.cov
-    PCt = P @ C_k.T
-    S = C_k @ PCt + Rv_k
-    # L = A PCt S^{-1}  <=>  S L^T = (A PCt)^T, S symmetric PD.
-    L = solve_spd(S, (A_k @ PCt).T, "predictor innovation covariance").T
+    L, cov = _predictor_gain(A_k, C_k, Qd_k, Rv_k, belief.cov)
     mean = A_k @ belief.mean + B_k @ u_k + L @ (y_k - C_k @ belief.mean)
-    ALC = A_k - L @ C_k
-    cov = symmetrize(ALC @ P @ ALC.T + Qd_k + L @ Rv_k @ L.T)
     k = belief.tag[0]
     return Belief(mean=mean, cov=cov, tag=(k + 1, k)), L
 
@@ -104,9 +149,8 @@ def filter_predict(A_prev, B_prev, Qd_prev, belief: Belief, u_prev) -> Belief:
     Qd_prev = np.atleast_2d(np.asarray(Qd_prev, dtype=float))
     u_prev = np.atleast_1d(np.asarray(u_prev, dtype=float))
     mean = A_prev @ belief.mean + B_prev @ u_prev
-    cov = symmetrize(A_prev @ belief.cov @ A_prev.T + Qd_prev)
     k = belief.tag[0]
-    return Belief(mean=mean, cov=cov, tag=(k + 1, k))
+    return Belief(mean=mean, cov=_time_update(A_prev, Qd_prev, belief.cov), tag=(k + 1, k))
 
 
 def filter_update(C_k, Rv_k, belief: Belief, y_k) -> tuple[Belief, np.ndarray]:
@@ -118,16 +162,112 @@ def filter_update(C_k, Rv_k, belief: Belief, y_k) -> tuple[Belief, np.ndarray]:
     C_k = np.atleast_2d(np.asarray(C_k, dtype=float))
     Rv_k = np.atleast_2d(np.asarray(Rv_k, dtype=float))
     y_k = np.atleast_1d(np.asarray(y_k, dtype=float))
-    P = belief.cov
-    PCt = P @ C_k.T
-    S = C_k @ PCt + Rv_k
-    L = solve_spd(S, PCt.T, "filter innovation covariance").T
-    innovation = y_k - C_k @ belief.mean
-    mean = belief.mean + L @ innovation
-    ILC = np.eye(P.shape[0]) - L @ C_k
-    cov = symmetrize(ILC @ P @ ILC.T + L @ Rv_k @ L.T)
+    L, cov = _filter_gain(C_k, Rv_k, belief.cov)
+    mean = belief.mean + L @ (y_k - C_k @ belief.mean)
     k = belief.tag[0]
     return Belief(mean=mean, cov=cov, tag=(k, k)), L
+
+
+class _EstimatorPlan:
+    """Seed-independent half of an estimator: its gain and covariance schedules.
+
+    kind is "predictor", "luenberger" (the predictor's mean update with a
+    fixed gain and zero covariance), "filter", or "smoother" (the filter
+    plus RTS gains and P_{k|N}).  The covariance pass runs once here;
+    `step` then moves only the mean, so a seed sweep shares one plan.
+    Predictor-convention kinds take measurement k at state x_k; the filter
+    and smoother take it at x_{k+1}.  Either way it uses stored entry k.
+
+    Schedules are read-only stacked arrays: `gains` L_k and `predicted`
+    P_{k|k-1} (predictor k = 0..N; filter P_{k+1|k} at index k), `updated`
+    P_{k|k}, `smoother_gains` Ls_k and `smoothed` P_{k|N}.  `reported` is
+    the one aligned with states 0..N, and `along_states` names it, which is
+    also the EstimatorRun field holding the beliefs reported there.
+    """
+
+    def __init__(self, kind: str, system: LtvSystem, noise: NoiseModel,
+                 luenberger_gain: np.ndarray | None = None):
+        self.kind = kind
+        self.predictor_convention = kind in ("predictor", "luenberger")
+        self.x0_mean = noise.x0_mean
+        n, p, N = system.n, system.p, system.N
+        self.A, self.B, self.C = list(system.A), list(system.B), list(system.C)
+        Qd, Rv = list(noise.Qd), list(noise.Rv)
+        self.updated = self.smoother_gains = self.smoothed = None
+        if kind == "luenberger":
+            self.gains = [luenberger_gain] * N
+            self.predicted = np.zeros((N + 1, n, n))
+        elif kind == "predictor":
+            self.gains, self.predicted = np.empty((N, n, p)), np.empty((N + 1, n, n))
+            self.predicted[0] = noise.P0
+            for k in range(N):
+                self.gains[k], self.predicted[k + 1] = _predictor_gain(
+                    self.A[k], self.C[k], Qd[k], Rv[k], self.predicted[k])
+        else:
+            self.gains, self.predicted = np.empty((N, n, p)), np.empty((N, n, n))
+            self.updated = np.empty((N + 1, n, n))
+            self.updated[0] = noise.P0
+            for k in range(N):
+                self.predicted[k] = _time_update(self.A[k], Qd[k], self.updated[k])
+                self.gains[k], self.updated[k + 1] = _filter_gain(
+                    self.C[k], Rv[k], self.predicted[k])
+            if kind == "smoother":
+                self.smoother_gains, self.smoothed = _smoother_covariances(
+                    self.A, self.updated, self.predicted)
+        for schedule in (self.gains, self.predicted, self.updated, self.smoother_gains,
+                         self.smoothed):
+            if isinstance(schedule, np.ndarray):
+                schedule.flags.writeable = False
+        self.along_states = ("predicted" if self.predictor_convention else
+                             "smoothed" if kind == "smoother" else "updated")
+        self.reported = getattr(self, self.along_states)
+
+    def step(self, k: int, mean, u, y):
+        """Mean update of step k; returns (mean', innovation, predicted mean).
+
+        Predictor convention: x_{k|k-1} -> x_{k+1|k}, no separate predicted
+        mean (None).  Filter: x_{k|k} -> x_{k+1|k+1} through x_{k+1|k}.
+        """
+        if self.predictor_convention:
+            innovation = y - self.C[k] @ mean
+            return self.A[k] @ mean + self.B[k] @ u + self.gains[k] @ innovation, innovation, None
+        predicted = self.A[k] @ mean + self.B[k] @ u
+        innovation = y - self.C[k] @ predicted
+        return predicted + self.gains[k] @ innovation, innovation, predicted
+
+    def estimator_run(self, means: list, predicted_means: list, innovations: list
+                      ) -> EstimatorRun:
+        """Beliefs of one mean pass (x_0 first) joined with the schedules."""
+        N = len(means) - 1
+        if self.predictor_convention:
+            run = EstimatorRun(predicted=[Belief(means[k], self.predicted[k], (k, k - 1))
+                                          for k in range(N + 1)])
+            if self.kind == "predictor":
+                run.gains, run.innovations = list(self.gains), innovations
+            return run
+        run = EstimatorRun(
+            predicted=[Belief(predicted_means[k], self.predicted[k], (k + 1, k))
+                       for k in range(N)],
+            updated=[Belief(means[k], self.updated[k], (k, k)) for k in range(N + 1)],
+            gains=list(self.gains), innovations=innovations,
+        )
+        if self.kind == "smoother":
+            smoothed = _smoother_means(self.smoother_gains, means, predicted_means)
+            run.smoothed = [Belief(smoothed[k], self.smoothed[k], (k, N)) for k in range(N + 1)]
+            run.gains = list(self.smoother_gains)
+        return run
+
+
+def _estimate(plan: _EstimatorPlan, inputs: np.ndarray, measurements: np.ndarray
+              ) -> EstimatorRun:
+    """One mean pass of `plan` over recorded inputs and measurements."""
+    means, predicted_means, innovations = [plan.x0_mean], [], []
+    for k in range(inputs.shape[0]):
+        mean, innovation, predicted = plan.step(k, means[k], inputs[k], measurements[k])
+        means.append(mean)
+        predicted_means.append(predicted)
+        innovations.append(innovation)
+    return plan.estimator_run(means, predicted_means, innovations)
 
 
 def filter_run(system: LtvSystem, noise: NoiseModel, inputs, measurements) -> EstimatorRun:
@@ -145,19 +285,7 @@ def filter_run(system: LtvSystem, noise: NoiseModel, inputs, measurements) -> Es
         raise ValueError(f"{inputs.shape[0]} inputs for horizon {N}")
     if measurements.shape[0] != N:
         raise ValueError(f"{measurements.shape[0]} measurements for horizon {N}")
-    run = EstimatorRun()
-    belief = Belief(mean=noise.x0_mean, cov=noise.P0, tag=(0, 0))
-    run.updated.append(belief)
-    for k in range(1, N + 1):
-        predicted = filter_predict(system.A[k - 1], system.B[k - 1], noise.Qd[k - 1],
-                                   belief, inputs[k - 1])
-        run.predicted.append(predicted)
-        run.innovations.append(measurements[k - 1] - system.C[k - 1] @ predicted.mean)
-        belief, L = filter_update(system.C[k - 1], noise.Rv[k - 1], predicted,
-                                  measurements[k - 1])
-        run.updated.append(belief)
-        run.gains.append(L)
-    return run
+    return _estimate(_EstimatorPlan("filter", system, noise), inputs, measurements)
 
 
 def predictor_run(system: LtvSystem, noise: NoiseModel, inputs, measurements) -> EstimatorRun:
@@ -173,17 +301,7 @@ def predictor_run(system: LtvSystem, noise: NoiseModel, inputs, measurements) ->
     N = system.N
     if inputs.shape[0] != N or measurements.shape[0] != N:
         raise ValueError("inputs and measurements must both have horizon length")
-    run = EstimatorRun()
-    belief = Belief(mean=noise.x0_mean, cov=noise.P0, tag=(0, -1))
-    run.predicted.append(belief)
-    for k in range(N):
-        run.innovations.append(measurements[k] - system.C[k] @ belief.mean)
-        belief, L = predictor_step(system.A[k], system.B[k], system.C[k],
-                                   noise.Qd[k], noise.Rv[k], belief,
-                                   inputs[k], measurements[k])
-        run.predicted.append(belief)
-        run.gains.append(L)
-    return run
+    return _estimate(_EstimatorPlan("predictor", system, noise), inputs, measurements)
 
 
 def smoother_run(system: LtvSystem, noise: NoiseModel, filtered: EstimatorRun) -> EstimatorRun:
@@ -201,25 +319,15 @@ def smoother_run(system: LtvSystem, noise: NoiseModel, filtered: EstimatorRun) -
     N = len(filtered.predicted)
     if len(filtered.updated) != N + 1:
         raise ValueError("filter run must store beliefs (k|k) for k=0..N and (k|k-1) for k=1..N")
-    smoothed: list[Belief | None] = [None] * (N + 1)
-    terminal = filtered.updated[N]
-    smoothed[N] = Belief(mean=terminal.mean, cov=terminal.cov, tag=(N, N))
-    gains: list[np.ndarray | None] = [None] * N
-    for k in range(N - 1, -1, -1):
-        updated = filtered.updated[k]
-        predicted_next = filtered.predicted[k]  # belief (k+1 | k)
-        A_k = system.A[k]
-        Ls = solve_spd(predicted_next.cov, A_k @ updated.cov,
-                       f"smoother predicted covariance at k={k + 1}").T
-        mean = updated.mean + Ls @ (smoothed[k + 1].mean - predicted_next.mean)
-        cov = symmetrize(updated.cov + Ls @ (smoothed[k + 1].cov - predicted_next.cov) @ Ls.T)
-        smoothed[k] = Belief(mean=mean, cov=cov, tag=(k, N))
-        gains[k] = Ls
+    gains, covs = _smoother_covariances(system.A, [b.cov for b in filtered.updated],
+                                        [b.cov for b in filtered.predicted])
+    means = _smoother_means(gains, [b.mean for b in filtered.updated],
+                            [b.mean for b in filtered.predicted])
     return EstimatorRun(
         predicted=list(filtered.predicted),
         updated=list(filtered.updated),
-        smoothed=smoothed,
-        gains=gains,
+        smoothed=[Belief(mean=means[k], cov=covs[k], tag=(k, N)) for k in range(N + 1)],
+        gains=list(gains),
         innovations=list(filtered.innovations),
     )
 
@@ -229,29 +337,28 @@ def solve_dare_estimator(A: np.ndarray, C: np.ndarray, Qd: np.ndarray, Rv: np.nd
     """Steady-state predictor gain by fixed-point iteration from P = I.
 
     Returns the converged P, L = A P C^T (C P C^T + Rv)^{-1}, the final
-    max-abs residual, and the spectral radius of A - L C.
+    max-abs residual, and the spectral radius of A - L C.  A non-finite
+    residual (P overflowed: (A, C) is not detectable) stops the iteration
+    at once with ConvergenceError.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
     Qd = np.atleast_2d(np.asarray(Qd, dtype=float))
     Rv = np.atleast_2d(np.asarray(Rv, dtype=float))
 
-    def gain(P):
-        PCt = P @ C.T
-        return solve_spd(C @ PCt + Rv, (A @ PCt).T, "estimator innovation covariance").T
-
     P = np.eye(A.shape[0])
     residual = np.inf
-    for it in range(1, max_iter + 1):
-        L = gain(P)
-        ALC = A - L @ C
-        P_new = symmetrize(ALC @ P @ ALC.T + Qd + L @ Rv @ L.T)
-        residual = float(np.max(np.abs(P_new - P)))
-        P = P_new
-        if residual <= tol:
-            L = gain(P)
-            return SteadyStateEstimator(
-                P=P, L=L, iterations=it, residual=residual,
-                observer_spectral_radius=spectral_radius(A - L @ C),
-            )
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        for it in range(1, max_iter + 1):
+            _, P_new = _predictor_gain(A, C, Qd, Rv, P, "estimator innovation covariance")
+            residual = float(np.max(np.abs(P_new - P)))
+            P = P_new
+            if not np.isfinite(residual):
+                raise ConvergenceError("steady-state estimator iteration diverged", residual, it)
+            if residual <= tol:
+                L, _ = _predictor_gain(A, C, Qd, Rv, P, "estimator innovation covariance")
+                return SteadyStateEstimator(
+                    P=P, L=L, iterations=it, residual=residual,
+                    observer_spectral_radius=spectral_radius(A - L @ C),
+                )
     raise ConvergenceError("steady-state estimator iteration did not converge", residual, max_iter)

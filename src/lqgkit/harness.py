@@ -4,11 +4,12 @@ A run is a pure function of (scenario, seed).  The noise draw order is
 pinned so results are reproducible and so the true trajectory is identical
 across estimator modes under true-state feedback: the initial state (when
 sampled) is drawn first, then per step k a disturbance d_k followed by a
-measurement noise v_k, one GaussianStream call per vector.  v_k is drawn
-whenever the system has outputs and a noise model, regardless of estimator
-mode; measurement j is taken at time j for predictor-convention estimators
-(predictor, Luenberger) and at time j+1 for the filter/smoother, using the
-j-th stored C/Rv entry either way.
+measurement noise v_k, as if by one GaussianStream call per vector (a run
+draws its whole stream at once, which replays those calls exactly).  v_k
+is drawn whenever the system has outputs and a noise model, regardless of
+estimator mode; measurement j is taken at time j for predictor-convention
+estimators (predictor, Luenberger) and at time j+1 for the filter/smoother,
+using the j-th stored C/Rv entry either way.
 """
 from __future__ import annotations
 
@@ -16,15 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import (
-    Belief,
-    EstimatorRun,
-    filter_predict,
-    filter_update,
-    luenberger_step,
-    predictor_step,
-    smoother_run,
-)
+from ._linalg import psd_factor
+from .estimation import EstimatorRun, _EstimatorPlan
 from .lqr import (
     RiccatiSolution,
     SettlingReport,
@@ -40,9 +34,11 @@ from .model import (
     NoiseModel,
     Trajectory,
     ValidationError,
+    _check_dims,
+    _check_finite,
     validate,
 )
-from .stochastic import GaussianStream, GaussianVector, sample_gaussian
+from .stochastic import GaussianStream, _predraw
 
 CONTROLLERS = ("none", "fixed", "lqr", "steady")
 ESTIMATORS = ("none", "luenberger", "predictor", "filter", "smoother")
@@ -131,6 +127,16 @@ def _config_violations(s: Scenario) -> list[str]:
         problems.append("sampled x0 requires a noise model (x0_mean, P0)")
     if s.x0 is not None and s.x0.shape != (s.system.n,):
         problems.append(f"x0 has shape {s.x0.shape}, expected ({s.system.n},)")
+    for value, name in ((s.x0, "x0"), (s.fixed_gain, "fixed_gain"),
+                        (s.luenberger_gain, "luenberger_gain"), (s.sim_Qd, "sim_Qd"),
+                        (s.sim_Rv, "sim_Rv")):
+        _check_finite(problems, value, name)
+    if s.x0_std is not None and not np.isfinite(s.x0_std):
+        problems.append(f"x0_std is not finite, got {s.x0_std}")
+    n, p, N = s.system.n, s.system.p, s.system.N
+    _check_dims(problems, s.sim_Qd, "sim_Qd", (n, n), N)
+    if p:
+        _check_dims(problems, s.sim_Rv, "sim_Rv", (p, p), N)
     if s.controller == "steady":
         consts = [s.system.A.is_constant, s.system.B.is_constant]
         if s.weights is not None:
@@ -154,6 +160,141 @@ def _controller_gains(s: Scenario, tol: float, max_iter: int
     return MatrixSchedule.constant(steady.K, s.system.N), None
 
 
+def _factors(sched: MatrixSchedule) -> list[np.ndarray]:
+    """psd_factor of each distinct entry, indexed by step."""
+    factors = [psd_factor(M) for M in sched.distinct()]
+    return factors * len(sched) if sched.is_constant else factors
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The seed-independent half of a run, built once per scenario.
+
+    Validation, controller synthesis, the estimator's gain and covariance
+    schedules, and the factors of the truth's noise covariances depend on
+    the scenario but not on its seed; `_simulate` makes the per-seed pass.
+    """
+
+    scenario: Scenario
+    gains: MatrixSchedule | None
+    riccati: RiccatiSolution | None
+    estimator: _EstimatorPlan | None
+    x0_factor: np.ndarray | None
+    d_factors: list[np.ndarray] | None
+    v_factors: list[np.ndarray] | None
+    covariance_diagonals: np.ndarray | None
+
+
+def _violations(s: Scenario) -> list[str]:
+    """Everything `run` rejects: model invariants, then scenario configuration."""
+    return validate(s.system, s.weights, s.noise) + _config_violations(s)
+
+
+def _plan(s: Scenario, tol: float, max_iter: int) -> _Plan:
+    report = _violations(s)
+    if report:
+        raise ValidationError(report)
+    gains, riccati = _controller_gains(s, tol, max_iter)
+    noise = s.noise
+    x0_factor = d_factors = v_factors = None
+    if noise is not None:
+        if s.x0 is None and s.x0_std is None:
+            x0_factor = psd_factor(noise.P0)
+        d_factors = _factors(s.sim_Qd if s.sim_Qd is not None else noise.Qd)
+        if s.system.p > 0:
+            v_factors = _factors(s.sim_Rv if s.sim_Rv is not None else noise.Rv)
+    estimator = cov_diag = None
+    if s.estimator != "none":
+        estimator = _EstimatorPlan(s.estimator, s.system, noise, s.luenberger_gain)
+        if s.estimator != "luenberger":
+            cov_diag = np.array([np.diag(P) for P in estimator.reported])
+    return _Plan(s, gains, riccati, estimator, x0_factor, d_factors, v_factors, cov_diag)
+
+
+def _noise(z: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    """Rows 0 + z_k S_k^T, as sample_gaussian forms each vector.
+
+    One product per row: a single batched product rounds differently.
+    """
+    out = np.zeros(z.shape)
+    for row, z_k, S in zip(out, z, factors):
+        row += z_k @ S.T
+    return out
+
+
+@dataclass
+class _Pass:
+    """The per-seed half of a run.
+
+    The trajectory with its cost, the settling report, and the estimator's
+    means (x_0 first), predicted means and innovations.
+    """
+
+    trajectory: Trajectory
+    settling: SettlingReport | None
+    means: list[np.ndarray] | None
+    predicted_means: list[np.ndarray | None]
+    innovations: list[np.ndarray]
+
+
+def _simulate(plan: _Plan, seed: int) -> _Pass:
+    """Draw the seed's noise, then propagate the true state and estimate means."""
+    s, est = plan.scenario, plan.estimator
+    system, noise = s.system, s.noise
+    n, p, N = system.n, system.p, system.N
+    A, B = list(system.A), list(system.B)
+    measuring = p > 0 and noise is not None
+    filter_convention = s.estimator in ("filter", "smoother")
+
+    counts = (n, p) if measuring else (n,) if noise is not None else ()
+    head, blocks = _predraw(GaussianStream(seed), n if s.x0 is None else 0, counts, N)
+    if s.x0 is not None:
+        x0 = s.x0
+    elif s.x0_std is not None:
+        x0 = noise.x0_mean + s.x0_std * head
+    else:
+        x0 = noise.x0_mean + head @ plan.x0_factor.T
+    d = _noise(blocks[0], plan.d_factors) if noise is not None else np.zeros((N, n))
+    v = _noise(blocks[1], plan.v_factors) if measuring else None
+
+    states = np.empty((N + 1, n))
+    inputs = np.empty((N, system.m))
+    outputs = np.empty((N, p)) if measuring else None
+    states[0] = x = x0
+    means = [est.x0_mean] if est is not None else None
+    predicted_means, innovations = [], []
+    zero_u = np.zeros(system.m)
+
+    def measure(k, x, u):
+        y = system.C[k] @ x + v[k]
+        outputs[k] = y
+        if est is not None:
+            mean, innovation, predicted = est.step(k, means[k], u, y)
+            means.append(mean)
+            predicted_means.append(predicted)
+            innovations.append(innovation)
+
+    for k in range(N):
+        if plan.gains is None:
+            u = zero_u
+        else:
+            u = -(plan.gains[k] @ (means[k] if s.feedback == "estimate" else x))
+        inputs[k] = u
+        if measuring and not filter_convention:
+            measure(k, x, u)                   # measurement at time k
+        x = A[k] @ x + B[k] @ u + d[k]
+        states[k + 1] = x
+        if measuring and filter_convention:
+            measure(k, x, u)                   # measurement at time k+1
+
+    trajectory = Trajectory(states=states, inputs=inputs, outputs=outputs,
+                            covariances=est.reported if est is not None else None)
+    if s.weights is not None:
+        trajectory.cost = _evaluate_cost(trajectory, s.weights)
+    settling = settling_report(plan.riccati, trajectory) if plan.riccati is not None else None
+    return _Pass(trajectory, settling, means, predicted_means, innovations)
+
+
 def run(scenario: Scenario, tol: float = 1e-10, max_iter: int = 100_000) -> RunResult:
     """Execute one scenario; deterministic per (scenario, seed).
 
@@ -161,123 +302,21 @@ def run(scenario: Scenario, tol: float = 1e-10, max_iter: int = 100_000) -> RunR
     system, feeds measurements to the configured estimator, and applies
     u_k = -K_k times the true state or the causal estimate.
     """
-    s = scenario
-    report = validate(s.system, s.weights, s.noise)
-    report += _config_violations(s)
-    if report:
-        raise ValidationError(report)
-
-    system, noise = s.system, s.noise
-    n, p, N = system.n, system.p, system.N
-    gains, riccati = _controller_gains(s, tol, max_iter)
-
-    stream = GaussianStream(s.seed)
-    if s.x0 is not None:
-        x0 = s.x0
-    elif s.x0_std is not None:
-        x0 = noise.x0_mean + s.x0_std * stream.standard_normal(n)
-    else:
-        x0 = sample_gaussian(noise.initial_belief(), stream)[0]
-
-    sim_Qd = s.sim_Qd if s.sim_Qd is not None else (noise.Qd if noise else None)
-    sim_Rv = s.sim_Rv if s.sim_Rv is not None else (noise.Rv if noise else None)
-    measuring = p > 0 and noise is not None
-    filter_convention = s.estimator in ("filter", "smoother")
-
-    est_run = EstimatorRun() if s.estimator != "none" else None
-    if s.estimator in ("predictor",):
-        belief = Belief(mean=noise.x0_mean, cov=noise.P0, tag=(0, -1))
-        est_run.predicted.append(belief)
-    elif s.estimator in ("filter", "smoother"):
-        belief = Belief(mean=noise.x0_mean, cov=noise.P0, tag=(0, 0))
-        est_run.updated.append(belief)
-    elif s.estimator == "luenberger":
-        belief = Belief(mean=noise.x0_mean, cov=np.zeros((n, n)), tag=(0, -1))
-        est_run.predicted.append(belief)
-
-    def feedback_state(x: np.ndarray) -> np.ndarray:
-        if s.feedback == "estimate":
-            return belief.mean
-        return x
-
-    states = np.empty((N + 1, n))
-    inputs = np.empty((N, system.m))
-    outputs = np.empty((N, p)) if measuring else None
-    states[0] = x0
-    x = x0
-    zero_u = np.zeros(system.m)
-
-    for k in range(N):
-        u = -(gains[k] @ feedback_state(x)) if gains is not None else zero_u
-        inputs[k] = u
-        d = sample_gaussian(GaussianVector(np.zeros(n), sim_Qd[k]), stream)[0] \
-            if noise is not None else np.zeros(n)
-        v = sample_gaussian(GaussianVector(np.zeros(p), sim_Rv[k]), stream)[0] \
-            if measuring else None
-
-        if measuring and not filter_convention:
-            y = system.C[k] @ x + v            # measurement at time k
-            outputs[k] = y
-            if s.estimator == "predictor":
-                est_run.innovations.append(y - system.C[k] @ belief.mean)
-                belief, L = predictor_step(system.A[k], system.B[k], system.C[k],
-                                           noise.Qd[k], noise.Rv[k], belief, u, y)
-                est_run.predicted.append(belief)
-                est_run.gains.append(L)
-            elif s.estimator == "luenberger":
-                mean = luenberger_step(system.A[k], system.B[k], system.C[k],
-                                       s.luenberger_gain, belief.mean, u, y)
-                belief = Belief(mean=mean, cov=np.zeros((n, n)), tag=(k + 1, k))
-                est_run.predicted.append(belief)
-
-        x = system.A[k] @ x + system.B[k] @ u + d
-        states[k + 1] = x
-
-        if measuring and filter_convention:
-            y = system.C[k] @ x + v            # measurement at time k+1
-            outputs[k] = y
-            predicted = filter_predict(system.A[k], system.B[k], noise.Qd[k], belief, u)
-            est_run.predicted.append(predicted)
-            est_run.innovations.append(y - system.C[k] @ predicted.mean)
-            belief, L = filter_update(system.C[k], noise.Rv[k], predicted, y)
-            est_run.updated.append(belief)
-            est_run.gains.append(L)
-
-    if s.estimator == "smoother":
-        est_run = smoother_run(system, noise, est_run)
-
-    beliefs_along_states = None
-    if s.estimator == "predictor" or s.estimator == "luenberger":
-        beliefs_along_states = est_run.predicted
-    elif s.estimator == "filter":
-        beliefs_along_states = est_run.updated
-    elif s.estimator == "smoother":
-        beliefs_along_states = est_run.smoothed
-
-    estimates = covariances = cov_diag = None
-    if beliefs_along_states is not None:
-        estimates = np.array([b.mean for b in beliefs_along_states])
-        covariances = np.array([b.cov for b in beliefs_along_states])
-        if s.estimator != "luenberger":
-            cov_diag = np.array([np.diag(b.cov) for b in beliefs_along_states])
-
-    trajectory = Trajectory(states=states, inputs=inputs, outputs=outputs,
-                            estimates=estimates, covariances=covariances)
-    cost = _evaluate_cost(trajectory, s.weights) if s.weights is not None else None
-    trajectory.cost = cost
-
-    settling = None
-    if riccati is not None:
-        settling = settling_report(riccati, trajectory)
-
+    plan = _plan(scenario, tol, max_iter)
+    seed_pass = _simulate(plan, scenario.seed)
+    trajectory, est, est_run = seed_pass.trajectory, plan.estimator, None
+    if est is not None:
+        est_run = est.estimator_run(seed_pass.means, seed_pass.predicted_means,
+                                    seed_pass.innovations)
+        trajectory.estimates = np.array([b.mean for b in getattr(est_run, est.along_states)])
     return RunResult(
         trajectory=trajectory,
         estimator_run=est_run,
-        controller_gains=gains,
-        riccati=riccati,
-        cost=cost,
-        settling=settling,
-        covariance_diagonals=cov_diag,
+        controller_gains=plan.gains,
+        riccati=plan.riccati,
+        cost=trajectory.cost,
+        settling=seed_pass.settling,
+        covariance_diagonals=plan.covariance_diagonals,
     )
 
 
@@ -307,41 +346,51 @@ def _with_horizon(s: Scenario, N: int) -> Scenario:
     )
 
 
+def _varied(s: Scenario, axis: str, value) -> Scenario:
+    if axis == "N":
+        return _with_horizon(s, int(value))
+    if axis in ("R-scale", "Q-scale"):
+        if s.weights is None:
+            raise ValidationError([f"{axis} sweep requires weights"])
+        Q, R = s.weights.Q, s.weights.R
+        if axis == "R-scale":
+            R = _rescaled(R, float(value))
+        else:
+            Q = _rescaled(Q, float(value))
+        return replace(s, weights=LqrWeights(Q=Q, R=R))
+    raise ValidationError([f"unknown sweep axis '{axis}' "
+                           "(choose from N, seed, R-scale, Q-scale)"])
+
+
 def sweep(scenario: Scenario, axis: str, values, tol: float = 1e-10,
           max_iter: int = 100_000) -> list[SweepPoint]:
     """Independent runs along one parameter axis: N, seed, R-scale, Q-scale.
 
     Results are ordered by input value.  The N axis requires constant
-    (LTI) schedules; scale axes rescale the LQR weights.
+    (LTI) schedules; scale axes rescale the LQR weights.  A seed sweep
+    builds the seed-independent half of a run (validation, controller
+    synthesis, estimator gain and covariance schedules, noise factors) once
+    and shares it across seeds; its points equal independent runs bit for bit.
     """
     points = []
+    plan = None
     for value in values:
-        if axis == "N":
-            varied = _with_horizon(scenario, int(value))
-        elif axis == "seed":
-            varied = replace(scenario, seed=int(value))
-        elif axis == "R-scale":
-            if scenario.weights is None:
-                raise ValidationError(["R-scale sweep requires weights"])
-            varied = replace(scenario, weights=LqrWeights(
-                Q=scenario.weights.Q, R=_rescaled(scenario.weights.R, float(value))))
-        elif axis == "Q-scale":
-            if scenario.weights is None:
-                raise ValidationError(["Q-scale sweep requires weights"])
-            varied = replace(scenario, weights=LqrWeights(
-                Q=_rescaled(scenario.weights.Q, float(value)), R=scenario.weights.R))
+        if axis == "seed":
+            if plan is None:
+                plan = _plan(scenario, tol, max_iter)
+            seed_pass = _simulate(plan, int(value))
         else:
-            raise ValidationError([f"unknown sweep axis '{axis}' "
-                                   "(choose from N, seed, R-scale, Q-scale)"])
-        result = run(varied, tol=tol, max_iter=max_iter)
+            plan = _plan(_varied(scenario, axis, value), tol, max_iter)
+            seed_pass = _simulate(plan, scenario.seed)
+        settling = seed_pass.settling
         terminal_trace = None
-        if result.covariance_diagonals is not None:
-            terminal_trace = float(result.covariance_diagonals[-1].sum())
+        if plan.covariance_diagonals is not None:
+            terminal_trace = float(plan.covariance_diagonals[-1].sum())
         points.append(SweepPoint(
             value=float(value),
-            cost=result.cost,
-            k_x=result.settling.k_x if result.settling else None,
-            k_K=result.settling.k_K if result.settling else None,
+            cost=seed_pass.trajectory.cost,
+            k_x=settling.k_x if settling else None,
+            k_K=settling.k_K if settling else None,
             terminal_covariance_trace=terminal_trace,
         ))
     return points

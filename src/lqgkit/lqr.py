@@ -118,7 +118,8 @@ def solve_dare_lqr(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
 
     Starts at P = Q and stops when the max-abs element change drops to tol.
     Non-convergence raises ConvergenceError carrying the final residual,
-    which usually means the pair (A, B) is not stabilizable.
+    which usually means the pair (A, B) is not stabilizable; a non-finite
+    residual (P overflowed) raises it at once, with the iteration reached.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -126,16 +127,19 @@ def solve_dare_lqr(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
     R = np.atleast_2d(np.asarray(R, dtype=float))
     P = Q.copy()
     residual = np.inf
-    for it in range(1, max_iter + 1):
-        K, P_new = dre_step(A, B, Q, R, P)
-        residual = float(np.max(np.abs(P_new - P)))
-        P = P_new
-        if residual <= tol:
-            K, _ = dre_step(A, B, Q, R, P)
-            return SteadyStateLqr(
-                P=P, K=K, iterations=it, residual=residual,
-                closed_loop_spectral_radius=spectral_radius(A - B @ K),
-            )
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        for it in range(1, max_iter + 1):
+            K, P_new = dre_step(A, B, Q, R, P)
+            residual = float(np.max(np.abs(P_new - P)))
+            P = P_new
+            if not np.isfinite(residual):
+                raise ConvergenceError("steady-state LQR iteration diverged", residual, it)
+            if residual <= tol:
+                K, _ = dre_step(A, B, Q, R, P)
+                return SteadyStateLqr(
+                    P=P, K=K, iterations=it, residual=residual,
+                    closed_loop_spectral_radius=spectral_radius(A - B @ K),
+                )
     raise ConvergenceError("steady-state LQR iteration did not converge", residual, max_iter)
 
 

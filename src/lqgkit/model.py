@@ -223,6 +223,19 @@ def _check_dims(report: list[str], sched: MatrixSchedule | None, name: str,
         report.append(f"{name} has length {len(sched)}, expected {length}")
 
 
+def _check_finite(report: list[str], value, name: str) -> bool:
+    """Report a matrix, vector or schedule holding nan or inf; True if all finite."""
+    if value is None:
+        return True
+    entries = value.distinct() if isinstance(value, MatrixSchedule) else [value]
+    bad = [k for k, M in enumerate(entries) if not np.all(np.isfinite(M))]
+    if not bad:
+        return True
+    where = f"{name}[{bad[0]}]" if len(entries) > 1 else name
+    report.append(f"{where} has non-finite entries (nan or inf)")
+    return False
+
+
 def _check_definite(report: list[str], sched: MatrixSchedule, name: str, positive: bool):
     for M in sched.distinct():
         if not is_symmetric(M):
@@ -235,7 +248,7 @@ def _check_definite(report: list[str], sched: MatrixSchedule, name: str, positiv
 
 def validate(system: LtvSystem, weights: LqrWeights | None = None,
              noise: NoiseModel | None = None) -> list[str]:
-    """Check every dimension and definiteness invariant; returns the report.
+    """Check every dimension, finiteness and definiteness invariant; returns the report.
 
     An empty report means all invariants hold.  Callers decide whether a
     non-empty report is fatal (see ValidationError).
@@ -250,28 +263,31 @@ def validate(system: LtvSystem, weights: LqrWeights | None = None,
         _check_dims(report, system.C, "C", (p, n), N if N >= 1 else None)
     elif p != 0:
         report.append(f"p = {p} but no C schedule present")
+    for sched, name in ((system.A, "A"), (system.B, "B"), (system.C, "C")):
+        _check_finite(report, sched, name)
 
     if weights is not None:
         _check_dims(report, weights.Q, "Q", (n, n), N + 1)
         _check_dims(report, weights.R, "R", (m, m), N)
-        if weights.Q.shape == (n, n):
+        if _check_finite(report, weights.Q, "Q") and weights.Q.shape == (n, n):
             _check_definite(report, weights.Q, "Q", positive=False)
-        if weights.R.shape == (m, m):
+        if _check_finite(report, weights.R, "R") and weights.R.shape == (m, m):
             _check_definite(report, weights.R, "R", positive=True)
 
     if noise is not None:
         _check_dims(report, noise.Qd, "Qd", (n, n), N)
-        if noise.Qd.shape == (n, n):
+        if _check_finite(report, noise.Qd, "Qd") and noise.Qd.shape == (n, n):
             _check_definite(report, noise.Qd, "Qd", positive=False)
         if p:
             _check_dims(report, noise.Rv, "Rv", (p, p), N)
-            if noise.Rv.shape == (p, p):
+            if _check_finite(report, noise.Rv, "Rv") and noise.Rv.shape == (p, p):
                 _check_definite(report, noise.Rv, "Rv", positive=True)
         if noise.x0_mean.shape != (n,):
             report.append(f"x0_mean has shape {noise.x0_mean.shape}, expected ({n},)")
+        _check_finite(report, noise.x0_mean, "x0_mean")
         if noise.P0.shape != (n, n):
             report.append(f"P0 has shape {noise.P0.shape}, expected ({n}, {n})")
-        else:
+        elif _check_finite(report, noise.P0, "P0"):
             if not is_symmetric(noise.P0):
                 report.append("P0 is not symmetric")
             if not is_psd(noise.P0):

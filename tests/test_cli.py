@@ -227,6 +227,26 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 2
         assert "positive definite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("field, old, new", [
+        ("A", "A: [[0.5, 0.0], [-1.0, 1.5]]", "A: [[0.5, 0.0], [-1.0, .nan]]"),
+        ("sim_Qd", "Qd: [[0.0625, 0.0], [0.0, 0.0625]]", "Qd: [[0.0625, 0.0], [0.0, .inf]]"),
+    ])
+    def test_non_finite_field_exit_2(self, command, field, old, new, tmp_path, capsys):
+        path = tmp_path / "nan.scn"
+        assert old in FIG4
+        path.write_text(FIG4.replace(old, new))
+        assert main([command, str(path), "--output", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert f"{field} has non-finite entries" in captured.err
+        assert "valid" not in captured.out and not list(tmp_path.glob("*.csv"))
+
+    def test_configuration_violations_reported(self, tmp_path, capsys):
+        path = tmp_path / "nonoise.scn"
+        path.write_text(FIG1.replace("controller: lqr", "controller: lqr\n  estimator: filter"))
+        assert main(["validate", str(path)]) == 2
+        assert "requires a noise model" in capsys.readouterr().err
+
 
 class TestCsvFormat:
     def test_twelve_significant_digits(self, fig1_file, tmp_path):

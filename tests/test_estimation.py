@@ -433,6 +433,12 @@ class TestSolveDareEstimator:
         with pytest.raises(ConvergenceError):
             solve_dare_estimator([[2.0]], [[0.0]], [[1.0]], [[1.0]], max_iter=500)
 
+    def test_overflow_fails_fast(self):
+        with pytest.raises(ConvergenceError, match="diverged") as excinfo:
+            solve_dare_estimator(np.diag([2.0, 0.5]), [[0.0, 1.0]], np.eye(2), 1.0)
+        assert excinfo.value.iterations < 100_000
+        assert not np.isfinite(excinfo.value.residual)
+
 
 class TestCovarianceInvariants:
     def test_symmetric_psd_over_random_steps(self, rng):

@@ -1,6 +1,10 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     A_BENCH,
@@ -12,12 +16,15 @@ from conftest import (
 )
 from lqgkit import (
     Scenario,
+    SweepPoint,
     ValidationError,
     evaluate_cost,
     run,
     step_deterministic,
     sweep,
 )
+from lqgkit.cli import _bundled_scenario
+from lqgkit.harness import CONTROLLERS, ESTIMATORS, FEEDBACK, _config_violations
 from lqgkit.model import MatrixSchedule
 
 
@@ -184,6 +191,24 @@ class TestRunValidation:
         with pytest.raises(ValidationError):
             run(replace(fig1_scenario(5), controller="pid"))
 
+    @pytest.mark.parametrize("field", ["x0", "fixed_gain", "luenberger_gain",
+                                       "sim_Qd", "sim_Rv"])
+    def test_non_finite_scenario_fields_named(self, field):
+        base = fig4_scenario()
+        value = {"x0": [np.nan, 1.0], "fixed_gain": [[np.inf, 0.0]],
+                 "luenberger_gain": [[0.0], [np.nan]],
+                 "sim_Qd": MatrixSchedule.constant(np.full((2, 2), np.inf), 50),
+                 "sim_Rv": MatrixSchedule.constant(np.array([[np.nan]]), 50)}[field]
+        with pytest.raises(ValidationError) as excinfo:
+            run(replace(base, **{field: value}))
+        assert f"{field} has non-finite entries (nan or inf)" in excinfo.value.violations
+
+    def test_truth_covariance_shape_checked(self):
+        scenario = replace(fig4_scenario(), sim_Qd=MatrixSchedule.constant(np.eye(3), 50))
+        with pytest.raises(ValidationError) as excinfo:
+            run(scenario)
+        assert "sim_Qd entries have shape (3, 3), expected (2, 2)" in excinfo.value.violations
+
     def test_steady_requires_lti(self):
         N = 4
         system = bench_system(N)
@@ -222,3 +247,42 @@ class TestSweep:
     def test_order_stable(self):
         points = sweep(fig1_scenario(5), "N", [50, 5])
         assert [pt.value for pt in points] == [50.0, 5.0]
+
+
+def accepted_configurations():
+    """Every controller x estimator x feedback the harness accepts.
+
+    On the bundled fig1/fig4 scenarios, with a fixed and an observer gain
+    supplied so the 'fixed' and 'luenberger' modes are accepted too.
+    """
+    cases = []
+    for figure in ("fig1", "fig4"):
+        base = replace(_bundled_scenario(figure), fixed_gain=[[2.7, -2.7]],
+                       luenberger_gain=[[0.0], [2.5]])
+        for config in itertools.product(CONTROLLERS, ESTIMATORS, FEEDBACK):
+            scenario = replace(base, controller=config[0], estimator=config[1],
+                               feedback=config[2])
+            if not _config_violations(scenario):
+                cases.append(pytest.param(scenario, id=f"{figure}-" + "-".join(config)))
+    return cases
+
+
+def point(value, result) -> SweepPoint:
+    trace = None
+    if result.covariance_diagonals is not None:
+        trace = float(result.covariance_diagonals[-1].sum())
+    settling = result.settling
+    return SweepPoint(value=float(value), cost=result.cost,
+                      k_x=settling.k_x if settling else None,
+                      k_K=settling.k_K if settling else None,
+                      terminal_covariance_trace=trace)
+
+
+@pytest.mark.parametrize("scenario", accepted_configurations())
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), max_size=4))
+@example(seeds=[7, 3, 7, 0])
+def test_seed_sweep_equals_independent_runs(scenario, seeds):
+    # one shared plan across seeds must give exactly what per-seed runs give
+    assert sweep(scenario, "seed", seeds) == \
+        [point(v, run(replace(scenario, seed=v))) for v in seeds]

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -223,6 +225,17 @@ class TestSolveDareLqr:
         with pytest.raises(ConvergenceError) as excinfo:
             solve_dare_lqr([[2.0]], [[0.0]], [[1.0]], [[1.0]], max_iter=500)
         assert excinfo.value.residual > 0
+
+    def test_overflow_fails_fast(self):
+        # the unstable mode is unreachable, so P overflows; the solver stops
+        # at the first non-finite residual instead of running to max_iter
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="diverged") as excinfo:
+            solve_dare_lqr(np.diag([2.0, 0.5]), [[0.0], [1.0]], np.eye(2), 1.0)
+        assert time.perf_counter() - start < 1.0
+        assert excinfo.value.iterations < 100_000
+        assert not np.isfinite(excinfo.value.residual)
+        assert f"after {excinfo.value.iterations} iterations" in str(excinfo.value)
 
 
 class TestMayneMurdoch:

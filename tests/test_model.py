@@ -87,6 +87,28 @@ class TestValidate:
         report = validate(bench_system(5), weights)
         assert any("Q has length 5, expected 6" in line for line in report)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_named(self, bad):
+        A = A_BENCH.copy()
+        A[1, 1] = bad
+        system = LtvSystem.lti(A, B_BENCH, [[1.0, 0.5]], horizon=4)
+        Q = np.eye(2)
+        Q[0, 0] = bad
+        noise = bench_noise(4, P0=np.diag([1.0, bad]))
+        report = validate(system, LqrWeights.constant(Q, 1.0, horizon=4), noise)
+        assert report == ["A has non-finite entries (nan or inf)",
+                          "Q has non-finite entries (nan or inf)",
+                          "P0 has non-finite entries (nan or inf)"]
+
+    def test_non_finite_schedule_entry_indexed(self):
+        Qd = [np.eye(2)] * 4
+        Qd[2] = np.full((2, 2), np.nan)
+        noise = NoiseModel(Qd=MatrixSchedule.of(Qd), Rv=MatrixSchedule.constant(np.eye(1), 4),
+                           x0_mean=[np.inf, 0.0], P0=np.eye(2))
+        report = validate(bench_system(4, with_output=True), noise=noise)
+        assert report == ["Qd[2] has non-finite entries (nan or inf)",
+                          "x0_mean has non-finite entries (nan or inf)"]
+
 
 class TestStepDeterministic:
     def test_benchmark_step(self):
