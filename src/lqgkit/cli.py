@@ -209,7 +209,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = _load(args)
-    values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    values = [v for v in args.values.split(",") if v.strip() != ""]  # sweep parses them
     points = sweep(scenario, args.axis, values, tol=args.tol, max_iter=args.max_iter)
     header = ["value", "cost", "k_x", "k_K", "terminal_covariance_trace"]
     rows = [[pt.value, pt.cost, pt.k_x, pt.k_K, pt.terminal_covariance_trace]

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import ConvergenceError, solve_spd, spectral_radius, symmetrize
+from ._linalg import solve_spd, spectral_radius, symmetrize
+from .lqr import _steady_riccati
 from .model import LtvSystem, NoiseModel
 
 
@@ -74,12 +75,12 @@ def luenberger_step(A: np.ndarray, B: np.ndarray, C: np.ndarray, L: np.ndarray,
 # functions below and the whole-horizon schedules of `_EstimatorPlan` share
 # these; the means are propagated separately.
 
-def _predictor_gain(A, C, Qd, Rv, P, context: str = "predictor innovation covariance"):
+def _predictor_gain(A, C, Qd, Rv, P):
     """L_k and the Joseph-form P_{k+1|k} from P_{k|k-1}."""
     PCt = P @ C.T
     S = C @ PCt + Rv
     # L = A PCt S^{-1}  <=>  S L^T = (A PCt)^T, S symmetric PD.
-    L = solve_spd(S, (A @ PCt).T, context).T
+    L = solve_spd(S, (A @ PCt).T, "predictor innovation covariance").T
     ALC = A - L @ C
     return L, symmetrize(ALC @ P @ ALC.T + Qd + L @ Rv @ L.T)
 
@@ -336,29 +337,24 @@ def solve_dare_estimator(A: np.ndarray, C: np.ndarray, Qd: np.ndarray, Rv: np.nd
                          tol: float = 1e-10, max_iter: int = 100_000) -> SteadyStateEstimator:
     """Steady-state predictor gain by fixed-point iteration from P = I.
 
-    Returns the converged P, L = A P C^T (C P C^T + Rv)^{-1}, the final
-    max-abs residual, and the spectral radius of A - L C.  A non-finite
-    residual (P overflowed: (A, C) is not detectable) stops the iteration
-    at once with ConvergenceError.
+    Solved as the dual steady LQR problem (A^T, C^T, Qd, Rv): its Riccati
+    step is the predictor's covariance step and its gain is L^T.  Returns
+    the converged P, L = A P C^T (C P C^T + Rv)^{-1}, the final max-abs
+    residual, and the spectral radius of A - L C.  A non-finite residual
+    (P overflowed: (A, C) is not detectable) stops the iteration at once
+    with ConvergenceError.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
     Qd = np.atleast_2d(np.asarray(Qd, dtype=float))
     Rv = np.atleast_2d(np.asarray(Rv, dtype=float))
-
-    P = np.eye(A.shape[0])
-    residual = np.inf
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        for it in range(1, max_iter + 1):
-            _, P_new = _predictor_gain(A, C, Qd, Rv, P, "estimator innovation covariance")
-            residual = float(np.max(np.abs(P_new - P)))
-            P = P_new
-            if not np.isfinite(residual):
-                raise ConvergenceError("steady-state estimator iteration diverged", residual, it)
-            if residual <= tol:
-                L, _ = _predictor_gain(A, C, Qd, Rv, P, "estimator innovation covariance")
-                return SteadyStateEstimator(
-                    P=P, L=L, iterations=it, residual=residual,
-                    observer_spectral_radius=spectral_radius(A - L @ C),
-                )
-    raise ConvergenceError("steady-state estimator iteration did not converge", residual, max_iter)
+    try:
+        P, K, iterations, residual = _steady_riccati(
+            A.T, C.T, Qd, Rv, np.eye(A.shape[0]), tol, max_iter, "estimator")
+    except np.linalg.LinAlgError as exc:  # the dual's gain solve factors the innovation covariance
+        raise np.linalg.LinAlgError(
+            f"estimator innovation covariance: matrix is not positive definite ({exc.__cause__})"
+        ) from exc.__cause__
+    L = K.T
+    return SteadyStateEstimator(P=P, L=L, iterations=iterations, residual=residual,
+                                observer_spectral_radius=spectral_radius(A - L @ C))

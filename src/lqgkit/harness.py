@@ -13,6 +13,7 @@ using the j-th stored C/Rv entry either way.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -346,17 +347,35 @@ def _with_horizon(s: Scenario, N: int) -> Scenario:
     )
 
 
+def _sweep_value(axis: str, value) -> int | float:
+    """A sweep value as the run takes it: an exact int on the N and seed axes.
+
+    N and seed values are read without a float round trip, so large seeds
+    stay exact: strings must be integer literals, numbers integral.
+    """
+    if axis not in ("N", "seed"):
+        return float(value)
+    if isinstance(value, (str, numbers.Integral)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, numbers.Real) and float(value).is_integer():
+        return int(value)
+    raise ValidationError([f"{axis} sweep value {value!r} is not an integer"])
+
+
 def _varied(s: Scenario, axis: str, value) -> Scenario:
     if axis == "N":
-        return _with_horizon(s, int(value))
+        return _with_horizon(s, value)
     if axis in ("R-scale", "Q-scale"):
         if s.weights is None:
             raise ValidationError([f"{axis} sweep requires weights"])
         Q, R = s.weights.Q, s.weights.R
         if axis == "R-scale":
-            R = _rescaled(R, float(value))
+            R = _rescaled(R, value)
         else:
-            Q = _rescaled(Q, float(value))
+            Q = _rescaled(Q, value)
         return replace(s, weights=LqrWeights(Q=Q, R=R))
     raise ValidationError([f"unknown sweep axis '{axis}' "
                            "(choose from N, seed, R-scale, Q-scale)"])
@@ -366,19 +385,21 @@ def sweep(scenario: Scenario, axis: str, values, tol: float = 1e-10,
           max_iter: int = 100_000) -> list[SweepPoint]:
     """Independent runs along one parameter axis: N, seed, R-scale, Q-scale.
 
-    Results are ordered by input value.  The N axis requires constant
-    (LTI) schedules; scale axes rescale the LQR weights.  A seed sweep
-    builds the seed-independent half of a run (validation, controller
-    synthesis, estimator gain and covariance schedules, noise factors) once
-    and shares it across seeds; its points equal independent runs bit for bit.
+    Results are ordered by input value.  Values may be numbers or numeric
+    strings; N and seed values must be integers (ValidationError
+    otherwise).  The N axis requires constant (LTI) schedules; scale axes
+    rescale the LQR weights.  A seed sweep builds the seed-independent half
+    of a run (validation, controller synthesis, estimator gain and
+    covariance schedules, noise factors) once and shares it across seeds;
+    its points equal independent runs bit for bit.
     """
     points = []
     plan = None
-    for value in values:
+    for value in [_sweep_value(axis, v) for v in values]:
         if axis == "seed":
             if plan is None:
                 plan = _plan(scenario, tol, max_iter)
-            seed_pass = _simulate(plan, int(value))
+            seed_pass = _simulate(plan, value)
         else:
             plan = _plan(_varied(scenario, axis, value), tol, max_iter)
             seed_pass = _simulate(plan, scenario.seed)

@@ -9,7 +9,8 @@ with K_k = (R_k + B_k^T P_{k+1} B_k)^{-1} B_k^T P_{k+1} A_k, which keeps the
 propagated matrices PSD in floating point.  The steady-state solver iterates
 the same recursion to its fixed point rather than calling a spectral DARE
 solver, so its convergence behavior matches the finite-horizon schedule it
-stands in for.
+stands in for.  The steady-state estimator is the same fixed point on the
+dual pair (A^T, C^T) (see `estimation.solve_dare_estimator`).
 """
 from __future__ import annotations
 
@@ -112,6 +113,27 @@ def evaluate_cost(trajectory: Trajectory, weights: LqrWeights) -> float:
     return J
 
 
+def _steady_riccati(A, B, Q, R, P, tol: float, max_iter: int, name: str):
+    """Fixed point of dre_step from P; returns (P, K, iterations, residual).
+
+    Stops when the max-abs element change drops to tol.  A non-finite
+    residual (P overflowed) raises ConvergenceError at once, with the
+    iteration reached; `name` labels the solver in its message.
+    """
+    residual = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        for it in range(1, max_iter + 1):
+            K, P_new = dre_step(A, B, Q, R, P)
+            residual = float(np.max(np.abs(P_new - P)))
+            P = P_new
+            if not np.isfinite(residual):
+                raise ConvergenceError(f"steady-state {name} iteration diverged", residual, it)
+            if residual <= tol:
+                K, _ = dre_step(A, B, Q, R, P)
+                return P, K, it, residual
+    raise ConvergenceError(f"steady-state {name} iteration did not converge", residual, max_iter)
+
+
 def solve_dare_lqr(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
                    tol: float = 1e-10, max_iter: int = 100_000) -> SteadyStateLqr:
     """Steady-state LQR by fixed-point iteration of the backward recursion.
@@ -125,22 +147,9 @@ def solve_dare_lqr(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    P = Q.copy()
-    residual = np.inf
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        for it in range(1, max_iter + 1):
-            K, P_new = dre_step(A, B, Q, R, P)
-            residual = float(np.max(np.abs(P_new - P)))
-            P = P_new
-            if not np.isfinite(residual):
-                raise ConvergenceError("steady-state LQR iteration diverged", residual, it)
-            if residual <= tol:
-                K, _ = dre_step(A, B, Q, R, P)
-                return SteadyStateLqr(
-                    P=P, K=K, iterations=it, residual=residual,
-                    closed_loop_spectral_radius=spectral_radius(A - B @ K),
-                )
-    raise ConvergenceError("steady-state LQR iteration did not converge", residual, max_iter)
+    P, K, iterations, residual = _steady_riccati(A, B, Q, R, Q, tol, max_iter, "LQR")
+    return SteadyStateLqr(P=P, K=K, iterations=iterations, residual=residual,
+                          closed_loop_spectral_radius=spectral_radius(A - B @ K))
 
 
 def mayne_murdoch_gain(open_eigs, desired_eigs, B_diag) -> np.ndarray:

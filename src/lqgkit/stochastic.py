@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import is_pd, is_psd, psd_factor, solve_spd, symmetrize
+from ._linalg import psd_factor, solve_spd, symmetrize
 
 _TWO_PI = 2.0 * math.pi
 
@@ -168,12 +168,3 @@ def sample_gaussian(g: GaussianVector, stream: GaussianStream, count: int = 1) -
     z = stream.standard_normal(count * n).reshape(count, n)
     return g.mean + z @ S.T
 
-
-def validate_gaussian(g: GaussianVector, require_pd: bool = False) -> list[str]:
-    """Invariant check used by callers that accept externally built inputs."""
-    problems = []
-    if not is_psd(g.cov):
-        problems.append("covariance is not positive semidefinite")
-    if require_pd and not is_pd(g.cov):
-        problems.append("covariance is not positive definite")
-    return problems

@@ -1,8 +1,10 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lqgkit import load_scenario, run
 from lqgkit.cli import main
 
 FIG1 = """
@@ -188,6 +190,21 @@ class TestSweepCommand:
         assert len(rows) == 2
         assert float(rows[0][1]) == pytest.approx(422.13, abs=0.01)
         assert float(rows[1][1]) == pytest.approx(433.25, abs=0.01)
+
+    @pytest.mark.parametrize("axis, value", [("seed", "1.5"), ("N", "5.7")])
+    def test_non_integral_value_exit_2(self, fig4_file, tmp_path, capsys, axis, value):
+        assert main(["sweep", str(fig4_file), "--axis", axis, "--values", value,
+                     "--output", str(tmp_path)]) == 2
+        assert f"{axis} sweep value '{value}' is not an integer" in capsys.readouterr().err
+
+    def test_seed_parsed_exactly(self, fig4_file, tmp_path, capsys):
+        # 2**53 + 1 read as a float would run seed 2**53
+        seed = 2**53 + 1
+        assert main(["sweep", str(fig4_file), "--axis", "seed", "--values", str(seed),
+                     "--output", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "fig4_sweep_seed.csv")
+        expected = run(replace(load_scenario(fig4_file), seed=seed)).cost
+        assert rows[0][1] == f"{expected:.12g}"
 
 
 class TestReproduceCommand:

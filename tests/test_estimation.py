@@ -406,8 +406,8 @@ class TestSolveDareEstimator:
 
     def test_benchmark_fixture(self):
         result = solve_dare_estimator(A_BENCH, C_BENCH, np.eye(2), 1.0, tol=1e-12)
-        np.testing.assert_allclose(result.P, P_EST_STEADY, atol=1e-9)
-        np.testing.assert_allclose(result.L, L_EST_STEADY, atol=1e-9)
+        np.testing.assert_allclose(result.P, P_EST_STEADY, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(result.L, L_EST_STEADY, rtol=0, atol=1e-9)
         assert result.observer_spectral_radius < 1.0
 
     def test_scipy_cross_check(self):
@@ -438,6 +438,17 @@ class TestSolveDareEstimator:
             solve_dare_estimator(np.diag([2.0, 0.5]), [[0.0, 1.0]], np.eye(2), 1.0)
         assert excinfo.value.iterations < 100_000
         assert not np.isfinite(excinfo.value.residual)
+
+    def test_errors_name_the_estimator(self):
+        # solved as the dual LQR problem, yet its errors name the estimator
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^estimator innovation covariance: matrix is not positive definite"):
+            solve_dare_estimator([[0.5]], [[0.0]], [[1.0]], [[0.0]])
+        with pytest.raises(ConvergenceError,
+                           match="^steady-state estimator iteration did not converge"):
+            solve_dare_estimator([[2.0]], [[0.0]], [[1.0]], [[1.0]], max_iter=500)
+        with pytest.raises(ConvergenceError, match="^steady-state estimator iteration diverged"):
+            solve_dare_estimator(np.diag([2.0, 0.5]), [[0.0, 1.0]], np.eye(2), 1.0)
 
 
 class TestCovarianceInvariants:

@@ -248,6 +248,12 @@ class TestSweep:
         points = sweep(fig1_scenario(5), "N", [50, 5])
         assert [pt.value for pt in points] == [50.0, 5.0]
 
+    @pytest.mark.parametrize("axis, value", [("seed", 1.5), ("N", 5.7), ("seed", "1.5")],
+                             ids=["seed-float", "N-float", "seed-text"])
+    def test_non_integral_value_rejected(self, axis, value):
+        with pytest.raises(ValidationError, match=f"{axis} sweep value {value!r} is not an integer"):
+            sweep(fig4_scenario(), axis, [value])
+
 
 def accepted_configurations():
     """Every controller x estimator x feedback the harness accepts.

@@ -86,7 +86,7 @@ class TestSolveLqr:
     def test_long_horizon_gain_converges(self):
         # leading gain of the N=50 schedule equals the steady gain
         solution = solve_lqr(bench_system(50), bench_weights(50))
-        np.testing.assert_allclose(solution.K[0], K_STEADY, atol=1e-8)
+        np.testing.assert_allclose(solution.K[0], K_STEADY, rtol=0, atol=1e-8)
 
     def test_brute_force_input_grid(self, rng):
         # x0' P0 x0 equals the minimum of the cost over all input sequences,
@@ -194,9 +194,18 @@ class TestEvaluateCost:
 class TestSolveDareLqr:
     def test_benchmark_fixture(self):
         result = solve_dare_lqr(A_BENCH, B_BENCH, np.eye(2), 1.0)
-        np.testing.assert_allclose(result.K, K_STEADY, atol=1e-9)
+        np.testing.assert_allclose(result.K, K_STEADY, rtol=0, atol=1e-9)
         assert result.closed_loop_spectral_radius < 1.0
         assert result.residual <= 1e-10
+
+    def test_benchmark_iterates_pinned(self):
+        # the shared fixed-point routine reproduces the benchmark solve bit for bit
+        result = solve_dare_lqr(A_BENCH, B_BENCH, np.eye(2), 1.0)
+        np.testing.assert_array_equal(result.K, [[2.7354355175606098, -2.7470871035121074]])
+        np.testing.assert_array_equal(result.P, [[16.414802028466077, -17.290045242144416],
+                                                 [-17.290045242144416, 20.83130655268088]])
+        assert result.iterations == 20
+        assert result.residual == 1.404387717229838e-11
 
     def test_fixed_point_residual(self):
         result = solve_dare_lqr(A_BENCH, B_BENCH, np.eye(2), 1.0, tol=1e-10)
