@@ -212,12 +212,12 @@ def _cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v.strip() != ""]  # sweep parses them
     points = sweep(scenario, args.axis, values, tol=args.tol, max_iter=args.max_iter)
     header = ["value", "cost", "k_x", "k_K", "terminal_covariance_trace"]
-    rows = [[pt.value, pt.cost, pt.k_x, pt.k_K, pt.terminal_covariance_trace]
+    rows = [[float(pt.value), pt.cost, pt.k_x, pt.k_K, pt.terminal_covariance_trace]
             for pt in points]
     path = Path(args.output) / f"{_stem(args)}_sweep_{args.axis}.csv"
     _write_csv(path, header, rows)
     for pt in points:
-        print(f"{args.axis}={pt.value:g}: cost={_fmt(pt.cost)} k_x={pt.k_x} k_K={pt.k_K} "
+        print(f"{args.axis}={float(pt.value):g}: cost={_fmt(pt.cost)} k_x={pt.k_x} k_K={pt.k_K} "
               f"terminal_cov_trace={_fmt(pt.terminal_covariance_trace)}")
     print(f"wrote {path}")
     return 0

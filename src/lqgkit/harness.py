@@ -95,7 +95,7 @@ class RunResult:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    value: float
+    value: int | float          # an exact int on the N and seed axes
     cost: float | None
     k_x: int | None
     k_K: int | None
@@ -134,6 +134,8 @@ def _config_violations(s: Scenario) -> list[str]:
         _check_finite(problems, value, name)
     if s.x0_std is not None and not np.isfinite(s.x0_std):
         problems.append(f"x0_std is not finite, got {s.x0_std}")
+    if s.seed < 0:
+        problems.append(f"seed must be non-negative, got {s.seed}")
     n, p, N = s.system.n, s.system.p, s.system.N
     _check_dims(problems, s.sim_Qd, "sim_Qd", (n, n), N)
     if p:
@@ -351,18 +353,26 @@ def _sweep_value(axis: str, value) -> int | float:
     """A sweep value as the run takes it: an exact int on the N and seed axes.
 
     N and seed values are read without a float round trip, so large seeds
-    stay exact: strings must be integer literals, numbers integral.
+    stay exact: strings must be integer literals, numbers integral.  N must
+    be positive and seeds non-negative.
     """
     if axis not in ("N", "seed"):
         return float(value)
+    exact = None
     if isinstance(value, (str, numbers.Integral)):
         try:
-            return int(value)
+            exact = int(value)
         except ValueError:
             pass
     elif isinstance(value, numbers.Real) and float(value).is_integer():
-        return int(value)
-    raise ValidationError([f"{axis} sweep value {value!r} is not an integer"])
+        exact = int(value)
+    if exact is None:
+        raise ValidationError([f"{axis} sweep value {value!r} is not an integer"])
+    if axis == "N" and exact < 1:
+        raise ValidationError([f"horizon N must be positive, got {exact}"])
+    if axis == "seed" and exact < 0:
+        raise ValidationError([f"seed must be non-negative, got {exact}"])
+    return exact
 
 
 def _varied(s: Scenario, axis: str, value) -> Scenario:
@@ -386,12 +396,14 @@ def sweep(scenario: Scenario, axis: str, values, tol: float = 1e-10,
     """Independent runs along one parameter axis: N, seed, R-scale, Q-scale.
 
     Results are ordered by input value.  Values may be numbers or numeric
-    strings; N and seed values must be integers (ValidationError
-    otherwise).  The N axis requires constant (LTI) schedules; scale axes
-    rescale the LQR weights.  A seed sweep builds the seed-independent half
-    of a run (validation, controller synthesis, estimator gain and
-    covariance schedules, noise factors) once and shares it across seeds;
-    its points equal independent runs bit for bit.
+    strings; N and seed values must be integers, N positive and seeds
+    non-negative (ValidationError otherwise), and their points keep the
+    exact int as `value`; scale axes report floats.  The N axis requires
+    constant (LTI) schedules; scale axes rescale the LQR weights.  A seed
+    sweep builds the seed-independent half of a run (validation, controller
+    synthesis, estimator gain and covariance schedules, noise factors) once
+    and shares it across seeds; its points equal independent runs bit for
+    bit.
     """
     points = []
     plan = None
@@ -408,7 +420,7 @@ def sweep(scenario: Scenario, axis: str, values, tol: float = 1e-10,
         if plan.covariance_diagonals is not None:
             terminal_trace = float(plan.covariance_diagonals[-1].sum())
         points.append(SweepPoint(
-            value=float(value),
+            value=value,
             cost=seed_pass.trajectory.cost,
             k_x=settling.k_x if settling else None,
             k_K=settling.k_K if settling else None,

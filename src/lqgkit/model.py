@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFINITENESS_TOL, is_pd, is_psd, is_symmetric
+from ._linalg import DEFINITENESS_TOL, definiteness
 from .stochastic import GaussianStream, GaussianVector, sample_gaussian
 
 
@@ -223,27 +223,40 @@ def _check_dims(report: list[str], sched: MatrixSchedule | None, name: str,
         report.append(f"{name} has length {len(sched)}, expected {length}")
 
 
-def _check_finite(report: list[str], value, name: str) -> bool:
-    """Report a matrix, vector or schedule holding nan or inf; True if all finite."""
-    if value is None:
+def _stacked(value) -> np.ndarray:
+    """A schedule's distinct entries, or one matrix or vector, stacked along axis 0."""
+    if isinstance(value, MatrixSchedule):
+        return np.stack(value.distinct())
+    return np.asarray(value)[None]
+
+
+def _report_non_finite(report: list[str], stack: np.ndarray, name: str) -> bool:
+    """Report the first stacked entry holding nan or inf; True if all finite."""
+    finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+    if finite.all():
         return True
-    entries = value.distinct() if isinstance(value, MatrixSchedule) else [value]
-    bad = [k for k, M in enumerate(entries) if not np.all(np.isfinite(M))]
-    if not bad:
-        return True
-    where = f"{name}[{bad[0]}]" if len(entries) > 1 else name
+    where = f"{name}[{np.argmin(finite)}]" if len(stack) > 1 else name
     report.append(f"{where} has non-finite entries (nan or inf)")
     return False
 
 
-def _check_definite(report: list[str], sched: MatrixSchedule, name: str, positive: bool):
-    for M in sched.distinct():
-        if not is_symmetric(M):
+def _check_finite(report: list[str], value, name: str) -> bool:
+    """Report a matrix, vector or schedule holding nan or inf; True if all finite."""
+    return value is None or _report_non_finite(report, _stacked(value), name)
+
+
+def _check_definite(report: list[str], value, name: str, shape: tuple[int, int],
+                    positive: bool):
+    """Report non-finite entries, else, if of `shape`, each entry's symmetry and definiteness."""
+    stack = _stacked(value)
+    if not _report_non_finite(report, stack, name) or stack.shape[1:] != shape:
+        return
+    kind = "positive definite" if positive else "positive semidefinite"
+    for symmetric, definite in zip(*definiteness(stack, positive)):
+        if not symmetric:
             report.append(f"{name} is not symmetric")
-        if positive and not is_pd(M):
-            report.append(f"{name} is not positive definite (tol {DEFINITENESS_TOL})")
-        if not positive and not is_psd(M):
-            report.append(f"{name} is not positive semidefinite (tol {DEFINITENESS_TOL})")
+        if not definite:
+            report.append(f"{name} is not {kind} (tol {DEFINITENESS_TOL})")
 
 
 def validate(system: LtvSystem, weights: LqrWeights | None = None,
@@ -251,7 +264,11 @@ def validate(system: LtvSystem, weights: LqrWeights | None = None,
     """Check every dimension, finiteness and definiteness invariant; returns the report.
 
     An empty report means all invariants hold.  Callers decide whether a
-    non-empty report is fatal (see ValidationError).
+    non-empty report is fatal (see ValidationError).  Q, Qd, P0 must be
+    positive semidefinite and R, Rv positive definite: one shifted Cholesky
+    factorization certifies a whole schedule, and `eigvalsh` decides entry by
+    entry only a schedule the certificate cannot, so every verdict is the
+    eigenvalue test's.
     """
     report: list[str] = []
     n, m, p, N = system.n, system.m, system.p, system.N
@@ -269,29 +286,22 @@ def validate(system: LtvSystem, weights: LqrWeights | None = None,
     if weights is not None:
         _check_dims(report, weights.Q, "Q", (n, n), N + 1)
         _check_dims(report, weights.R, "R", (m, m), N)
-        if _check_finite(report, weights.Q, "Q") and weights.Q.shape == (n, n):
-            _check_definite(report, weights.Q, "Q", positive=False)
-        if _check_finite(report, weights.R, "R") and weights.R.shape == (m, m):
-            _check_definite(report, weights.R, "R", positive=True)
+        _check_definite(report, weights.Q, "Q", (n, n), positive=False)
+        _check_definite(report, weights.R, "R", (m, m), positive=True)
 
     if noise is not None:
         _check_dims(report, noise.Qd, "Qd", (n, n), N)
-        if _check_finite(report, noise.Qd, "Qd") and noise.Qd.shape == (n, n):
-            _check_definite(report, noise.Qd, "Qd", positive=False)
+        _check_definite(report, noise.Qd, "Qd", (n, n), positive=False)
         if p:
             _check_dims(report, noise.Rv, "Rv", (p, p), N)
-            if _check_finite(report, noise.Rv, "Rv") and noise.Rv.shape == (p, p):
-                _check_definite(report, noise.Rv, "Rv", positive=True)
+            _check_definite(report, noise.Rv, "Rv", (p, p), positive=True)
         if noise.x0_mean.shape != (n,):
             report.append(f"x0_mean has shape {noise.x0_mean.shape}, expected ({n},)")
         _check_finite(report, noise.x0_mean, "x0_mean")
         if noise.P0.shape != (n, n):
             report.append(f"P0 has shape {noise.P0.shape}, expected ({n}, {n})")
-        elif _check_finite(report, noise.P0, "P0"):
-            if not is_symmetric(noise.P0):
-                report.append("P0 is not symmetric")
-            if not is_psd(noise.P0):
-                report.append(f"P0 is not positive semidefinite (tol {DEFINITENESS_TOL})")
+        else:
+            _check_definite(report, noise.P0, "P0", (n, n), positive=False)
     return report
 
 

@@ -180,6 +180,14 @@ class TestSimulateCommand:
         assert main(["simulate", str(fig1_file), "--output", str(tmp_path)]) == 0
         assert "settling" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [["simulate"], ["estimate", "--mode", "filter"],
+                                         ["validate"]])
+    def test_negative_seed_exit_2(self, fig4_file, tmp_path, capsys, command):
+        argv = [command[0], str(fig4_file), *command[1:], "--seed", "-5", "--output",
+                str(tmp_path)]
+        assert main(argv) == 2
+        assert "seed must be non-negative, got -5" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_horizon_sweep(self, fig1_file, tmp_path, capsys):
@@ -205,6 +213,20 @@ class TestSweepCommand:
         _, rows = read_csv(tmp_path / "fig4_sweep_seed.csv")
         expected = run(replace(load_scenario(fig4_file), seed=seed)).cost
         assert rows[0][1] == f"{expected:.12g}"
+        # the value column and stdout keep the 12-digit float rendering
+        assert rows[0][0] == "9.00719925474e+15"
+        assert "seed=9.0072e+15: cost=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_horizon_exit_2(self, fig1_file, tmp_path, capsys, value):
+        assert main(["sweep", str(fig1_file), "--axis", "N", f"--values={value}",
+                     "--output", str(tmp_path)]) == 2
+        assert f"horizon N must be positive, got {value}" in capsys.readouterr().err
+
+    def test_negative_seed_value_exit_2(self, fig4_file, tmp_path, capsys):
+        assert main(["sweep", str(fig4_file), "--axis", "seed", "--values=3,-1",
+                     "--output", str(tmp_path)]) == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
 
 
 class TestReproduceCommand:
@@ -225,6 +247,11 @@ class TestReproduceCommand:
         assert main(["reproduce", "fig4", "--output", str(out_b)]) == 0
         for name in ("fig4_predictor.csv", "fig4_filter.csv", "fig4_smoother.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("figure", ["fig1", "fig4"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, figure):
+        assert main(["reproduce", figure, "--seed", "-5", "--output", str(tmp_path)]) == 2
+        assert "seed must be non-negative, got -5" in capsys.readouterr().err
 
     def test_unknown_figure_exit_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -63,7 +63,7 @@ def _sweep(case: str) -> list[list]:
     from lqgkit.cli import _bundled_scenario
 
     scenario = replace(_bundled_scenario("fig4"), **SWEEP_CASES[case])
-    return [[p.value, p.cost, p.k_x, p.k_K, p.terminal_covariance_trace]
+    return [[float(p.value), p.cost, p.k_x, p.k_K, p.terminal_covariance_trace]
             for p in sweep(scenario, "seed", SWEEP_SEEDS)]
 
 

@@ -248,6 +248,30 @@ class TestSweep:
         points = sweep(fig1_scenario(5), "N", [50, 5])
         assert [pt.value for pt in points] == [50.0, 5.0]
 
+    def test_integer_axes_keep_exact_values(self):
+        seed = 2**53 + 1                       # float(seed) == 2**53
+        [point] = sweep(fig4_scenario(), "seed", [str(seed)])
+        assert type(point.value) is int and point.value == seed
+        [point] = sweep(fig1_scenario(5), "N", [7.0])
+        assert type(point.value) is int and point.value == 7
+        [point] = sweep(fig1_scenario(5), "R-scale", ["2"])
+        assert type(point.value) is float and point.value == 2.0
+
+    @pytest.mark.parametrize("axis, value, message", [
+        ("N", 0, "horizon N must be positive, got 0"),
+        ("N", "-2", "horizon N must be positive, got -2"),
+        ("seed", -1, "seed must be non-negative, got -1"),
+    ])
+    def test_out_of_range_value_rejected(self, axis, value, message):
+        with pytest.raises(ValidationError) as excinfo:
+            sweep(fig4_scenario(), axis, [value])
+        assert excinfo.value.violations == [message]
+
+    def test_negative_seed_rejected_by_run(self):
+        with pytest.raises(ValidationError) as excinfo:
+            run(replace(fig4_scenario(), seed=-5))
+        assert excinfo.value.violations == ["seed must be non-negative, got -5"]
+
     @pytest.mark.parametrize("axis, value", [("seed", 1.5), ("N", 5.7), ("seed", "1.5")],
                              ids=["seed-float", "N-float", "seed-text"])
     def test_non_integral_value_rejected(self, axis, value):
@@ -278,7 +302,7 @@ def point(value, result) -> SweepPoint:
     if result.covariance_diagonals is not None:
         trace = float(result.covariance_diagonals[-1].sum())
     settling = result.settling
-    return SweepPoint(value=float(value), cost=result.cost,
+    return SweepPoint(value=value, cost=result.cost,
                       k_x=settling.k_x if settling else None,
                       k_K=settling.k_K if settling else None,
                       terminal_covariance_trace=trace)
