@@ -19,7 +19,7 @@ from .estimation import (
     smoother_run,
     solve_dare_estimator,
 )
-from .harness import RunResult, Scenario, SweepPoint, run, sweep
+from .harness import MonteCarloResult, RunResult, Scenario, SweepPoint, monte_carlo, run, sweep
 from .lqr import (
     RiccatiSolution,
     SettlingReport,
@@ -72,6 +72,7 @@ __all__ = [
     "LqrWeights",
     "LtvSystem",
     "MatrixSchedule",
+    "MonteCarloResult",
     "NoiseModel",
     "RiccatiSolution",
     "RunResult",
@@ -93,6 +94,7 @@ __all__ = [
     "load_scenario",
     "luenberger_step",
     "mayne_murdoch_gain",
+    "monte_carlo",
     "multivariate_gaussian_pdf",
     "parse_scenario",
     "predictor_run",

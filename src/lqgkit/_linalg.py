@@ -25,31 +25,49 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def _symmetric_parts(stack: np.ndarray) -> np.ndarray:
+    """0.5 M + 0.5 M^T of each matrix in a stack.
+
+    Equal to `symmetrize` entry for entry wherever M + M^T neither overflows
+    nor falls subnormal (halving commutes with rounding); unlike it, finite
+    for every finite M.
+    """
+    half = 0.5 * stack
+    return half + half.swapaxes(-1, -2)
+
+
+def matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M x for every vector x along the last axis of X, in one stacked matmul.
+
+    M is one matrix or a stack that broadcasts against the leading axes of
+    X.  numpy runs one BLAS matrix-vector product per vector, so each row
+    equals `M @ x` bit for bit; a single `X @ M.T` product rounds differently.
+    """
+    return (M @ X[..., None])[..., 0]
+
+
 def definiteness(stack: np.ndarray, positive: bool) -> tuple[np.ndarray, np.ndarray]:
     """Symmetry and definiteness flags of each matrix in a finite (k, n, n) stack.
 
     With tol = DEFINITENESS_TOL, M is symmetric when max|M - M^T| <=
     tol (1 + max|M|).  It is positive definite when the least eigenvalue of
-    its symmetric part exceeds tol, and positive semidefinite when that
-    eigenvalue is >= -tol.  One Cholesky factorization of the whole stack,
-    shifted past the bound, certifies every entry at once; if any entry
-    defeats it, `eigvalsh` decides entry by entry, so every flag is the one
-    the eigenvalue test gives.
+    its symmetric part 0.5 M + 0.5 M^T (finite for any finite M) exceeds
+    tol, and positive semidefinite when that eigenvalue is >= -tol.  One
+    Cholesky factorization of the whole stack, shifted past the bound,
+    certifies every entry at once; if any entry defeats it, `eigvalsh`
+    decides entry by entry, so every flag is the one the eigenvalue test
+    gives.
     """
     n, tol = stack.shape[-1], DEFINITENESS_TOL
-    T = stack.transpose(0, 2, 1)
-    work = stack - T
     # M - M^T is exactly antisymmetric, so its largest entry is its largest magnitude.
-    asym = work.max(axis=(1, 2), initial=0.0)
+    asym = (stack - stack.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
     size = np.maximum(stack.max(axis=(1, 2), initial=0.0), -stack.min(axis=(1, 2), initial=0.0))
     symmetric = asym <= tol * (1.0 + size)
     bound = tol if positive else -tol
-    if n:
-        np.add(stack, T, out=work)
-        work *= 0.5                                 # symmetrize(M), entry for entry
-        if _certified(work, size, bound):
-            return symmetric, np.ones(len(stack), dtype=bool)
-    least = np.array([np.linalg.eigvalsh(symmetrize(M)).min() if n else 0.0 for M in stack])
+    if n and _certified(_symmetric_parts(stack), size, bound):
+        return symmetric, np.ones(len(stack), dtype=bool)
+    least = np.array([np.linalg.eigvalsh(_symmetric_parts(M)).min() if n else 0.0
+                      for M in stack])
     return symmetric, least > tol if positive else least >= -tol
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._linalg import ConvergenceError
 from .harness import RunResult, Scenario, _violations, run, sweep
-from .lqr import solve_dare_lqr, solve_lqr
+from .lqr import _stabilizability_report, solve_dare_lqr, solve_lqr
 from .model import ValidationError, validate
 from .scenario import ScenarioError, load_scenario
 
@@ -83,6 +83,9 @@ def _cmd_lqr(args) -> int:
     if args.steady:
         if not all(s.is_constant for s in (system.A, system.B, weights.Q, weights.R)):
             raise ValidationError(["--steady requires constant A, B, Q, R schedules"])
+        report = _stabilizability_report(system.A[0], system.B[0])
+        if report:
+            raise ValidationError(report)
         ss = solve_dare_lqr(system.A[0], system.B[0], weights.Q[0], weights.R[0],
                             tol=args.tol, max_iter=args.max_iter)
         header = (_mat_headers("K", system.m, system.n) + _vec_headers("Pdiag", system.n)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import solve_spd, spectral_radius, symmetrize
+from ._linalg import matvec, solve_spd, spectral_radius, symmetrize
 from .lqr import _steady_riccati
 from .model import LtvSystem, NoiseModel
 
@@ -113,12 +113,18 @@ def _smoother_covariances(A, updated, predicted) -> tuple[np.ndarray, np.ndarray
     return gains, covs
 
 
-def _smoother_means(gains, updated: list, predicted: list) -> list:
-    """x_{k|N} = x_{k|k} + Ls_k (x_{k+1|N} - x_{k+1|k}), backward from x_{N|N}."""
-    N = len(predicted)
-    means: list = [None] * N + [updated[N]]
+def _smoother_means(gains, updated: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """x_{k|N} = x_{k|k} + Ls_k (x_{k+1|N} - x_{k+1|k}), backward from x_{N|N}.
+
+    updated is (..., N+1, n) and predicted (..., N, n): one pass moves
+    every stacked run.
+    """
+    N = predicted.shape[-2]
+    means = np.empty(updated.shape)
+    means[..., N, :] = updated[..., N, :]
     for k in range(N - 1, -1, -1):
-        means[k] = updated[k] + gains[k] @ (means[k + 1] - predicted[k])
+        means[..., k, :] = updated[..., k, :] + matvec(
+            gains[k], means[..., k + 1, :] - predicted[..., k, :])
     return means
 
 
@@ -175,7 +181,8 @@ class _EstimatorPlan:
     kind is "predictor", "luenberger" (the predictor's mean update with a
     fixed gain and zero covariance), "filter", or "smoother" (the filter
     plus RTS gains and P_{k|N}).  The covariance pass runs once here;
-    `step` then moves only the mean, so a seed sweep shares one plan.
+    `step` then moves only the means, of one run or of a stack of runs at
+    once, so a seed sweep shares one plan.
     Predictor-convention kinds take measurement k at state x_k; the filter
     and smoother take it at x_{k+1}.  Either way it uses stored entry k.
 
@@ -226,34 +233,41 @@ class _EstimatorPlan:
     def step(self, k: int, mean, u, y):
         """Mean update of step k; returns (mean', innovation, predicted mean).
 
+        mean, u and y are vectors or (S, .) stacks of S runs' vectors.
         Predictor convention: x_{k|k-1} -> x_{k+1|k}, no separate predicted
         mean (None).  Filter: x_{k|k} -> x_{k+1|k+1} through x_{k+1|k}.
         """
         if self.predictor_convention:
-            innovation = y - self.C[k] @ mean
-            return self.A[k] @ mean + self.B[k] @ u + self.gains[k] @ innovation, innovation, None
-        predicted = self.A[k] @ mean + self.B[k] @ u
-        innovation = y - self.C[k] @ predicted
-        return predicted + self.gains[k] @ innovation, innovation, predicted
+            innovation = y - matvec(self.C[k], mean)
+            return (matvec(self.A[k], mean) + matvec(self.B[k], u)
+                    + matvec(self.gains[k], innovation)), innovation, None
+        predicted = matvec(self.A[k], mean) + matvec(self.B[k], u)
+        innovation = y - matvec(self.C[k], predicted)
+        return predicted + matvec(self.gains[k], innovation), innovation, predicted
 
-    def estimator_run(self, means: list, predicted_means: list, innovations: list
+    def estimator_run(self, means: np.ndarray, predicted_means: np.ndarray | None,
+                      innovations: np.ndarray, smoothed: np.ndarray | None = None
                       ) -> EstimatorRun:
-        """Beliefs of one mean pass (x_0 first) joined with the schedules."""
+        """Beliefs of one mean pass joined with the schedules.
+
+        means is (N+1, n) with x_0 first, predicted_means (N, n) on the
+        filter convention (None otherwise), innovations (N, p); a smoother
+        plan also takes its smoothed means.
+        """
         N = len(means) - 1
         if self.predictor_convention:
             run = EstimatorRun(predicted=[Belief(means[k], self.predicted[k], (k, k - 1))
                                           for k in range(N + 1)])
             if self.kind == "predictor":
-                run.gains, run.innovations = list(self.gains), innovations
+                run.gains, run.innovations = list(self.gains), list(innovations)
             return run
         run = EstimatorRun(
             predicted=[Belief(predicted_means[k], self.predicted[k], (k + 1, k))
                        for k in range(N)],
             updated=[Belief(means[k], self.updated[k], (k, k)) for k in range(N + 1)],
-            gains=list(self.gains), innovations=innovations,
+            gains=list(self.gains), innovations=list(innovations),
         )
         if self.kind == "smoother":
-            smoothed = _smoother_means(self.smoother_gains, means, predicted_means)
             run.smoothed = [Belief(smoothed[k], self.smoothed[k], (k, N)) for k in range(N + 1)]
             run.gains = list(self.smoother_gains)
         return run
@@ -262,12 +276,16 @@ class _EstimatorPlan:
 def _estimate(plan: _EstimatorPlan, inputs: np.ndarray, measurements: np.ndarray
               ) -> EstimatorRun:
     """One mean pass of `plan` over recorded inputs and measurements."""
-    means, predicted_means, innovations = [plan.x0_mean], [], []
-    for k in range(inputs.shape[0]):
-        mean, innovation, predicted = plan.step(k, means[k], inputs[k], measurements[k])
-        means.append(mean)
-        predicted_means.append(predicted)
-        innovations.append(innovation)
+    N = inputs.shape[0]
+    means = np.empty((N + 1, len(plan.x0_mean)))
+    predicted_means = None if plan.predictor_convention else np.empty((N, means.shape[1]))
+    innovations = np.empty(measurements.shape)
+    means[0] = plan.x0_mean
+    for k in range(N):
+        means[k + 1], innovations[k], predicted = plan.step(k, means[k], inputs[k],
+                                                            measurements[k])
+        if predicted is not None:
+            predicted_means[k] = predicted
     return plan.estimator_run(means, predicted_means, innovations)
 
 
@@ -322,8 +340,8 @@ def smoother_run(system: LtvSystem, noise: NoiseModel, filtered: EstimatorRun) -
         raise ValueError("filter run must store beliefs (k|k) for k=0..N and (k|k-1) for k=1..N")
     gains, covs = _smoother_covariances(system.A, [b.cov for b in filtered.updated],
                                         [b.cov for b in filtered.predicted])
-    means = _smoother_means(gains, [b.mean for b in filtered.updated],
-                            [b.mean for b in filtered.predicted])
+    means = _smoother_means(gains, np.array([b.mean for b in filtered.updated]),
+                            np.array([b.mean for b in filtered.predicted]))
     return EstimatorRun(
         predicted=list(filtered.predicted),
         updated=list(filtered.updated),

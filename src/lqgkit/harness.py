@@ -4,12 +4,14 @@ A run is a pure function of (scenario, seed).  The noise draw order is
 pinned so results are reproducible and so the true trajectory is identical
 across estimator modes under true-state feedback: the initial state (when
 sampled) is drawn first, then per step k a disturbance d_k followed by a
-measurement noise v_k, as if by one GaussianStream call per vector (a run
-draws its whole stream at once, which replays those calls exactly).  v_k
-is drawn whenever the system has outputs and a noise model, regardless of
-estimator mode; measurement j is taken at time j for predictor-convention
+measurement noise v_k, as if by one GaussianStream call per vector (each
+seed's whole stream is drawn at once, which replays those calls exactly).
+v_k is drawn whenever the system has outputs and a noise model, regardless
+of estimator mode; measurement j is taken at time j for predictor-convention
 estimators (predictor, Luenberger) and at time j+1 for the filter/smoother,
-using the j-th stored C/Rv entry either way.
+using the j-th stored C/Rv entry either way.  All seeds of a sweep or Monte
+Carlo move together in one stacked pass, whose rows equal one-seed runs bit
+for bit; `run` is its one-seed case.
 """
 from __future__ import annotations
 
@@ -18,16 +20,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import psd_factor
-from .estimation import EstimatorRun, _EstimatorPlan
+from ._linalg import matvec, psd_factor
+from .estimation import EstimatorRun, _EstimatorPlan, _smoother_means
 from .lqr import (
     RiccatiSolution,
     SettlingReport,
-    settling_report,
+    _costs,
+    _settling_reports,
+    _stabilizability_report,
     solve_dare_lqr,
     solve_lqr,
 )
-from .lqr import evaluate_cost as _evaluate_cost
 from .model import (
     LqrWeights,
     LtvSystem,
@@ -93,6 +96,30 @@ class RunResult:
     covariance_diagonals: np.ndarray | None
 
 
+@dataclass
+class MonteCarloResult:
+    """Runs of one scenario over S seeds, stacked along axis 0 in seed order.
+
+    Row s of each array is the run with seed seeds[s]: states (S, N+1, n),
+    inputs (S, N, m), outputs (S, N, p) when the system is measured, the
+    estimates aligned with the states (S, N+1, n) and the innovations
+    (S, N, p) when an estimator runs, costs (S,) when the scenario has
+    weights, and settling reports under an `lqr` controller.  covariances
+    (N+1, n, n), aligned with the states, is the estimator's and is the
+    same for every seed.
+    """
+
+    seeds: list[int]
+    states: np.ndarray
+    inputs: np.ndarray
+    outputs: np.ndarray | None
+    estimates: np.ndarray | None
+    innovations: np.ndarray | None
+    costs: np.ndarray | None
+    settling: list[SettlingReport] | None
+    covariances: np.ndarray | None
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     value: int | float          # an exact int on the N and seed axes
@@ -146,7 +173,14 @@ def _config_violations(s: Scenario) -> list[str]:
             consts += [s.weights.Q.is_constant, s.weights.R.is_constant]
         if not all(consts):
             problems.append("controller 'steady' requires constant A, B, Q, R")
+        elif _checkable(s.system.A, (n, n)) and _checkable(s.system.B, (n, s.system.m)):
+            problems += _stabilizability_report(s.system.A[0], s.system.B[0])
     return problems
+
+
+def _checkable(sched: MatrixSchedule, shape: tuple[int, int]) -> bool:
+    """True if a schedule's first entry has `shape` and is finite."""
+    return sched.shape == shape and bool(np.isfinite(sched[0]).all())
 
 
 def _controller_gains(s: Scenario, tol: float, max_iter: int
@@ -175,7 +209,7 @@ class _Plan:
 
     Validation, controller synthesis, the estimator's gain and covariance
     schedules, and the factors of the truth's noise covariances depend on
-    the scenario but not on its seed; `_simulate` makes the per-seed pass.
+    the scenario but not on its seed; `_simulate` makes the seeds' pass.
     """
 
     scenario: Scenario
@@ -214,88 +248,88 @@ def _plan(s: Scenario, tol: float, max_iter: int) -> _Plan:
     return _Plan(s, gains, riccati, estimator, x0_factor, d_factors, v_factors, cov_diag)
 
 
-def _noise(z: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
-    """Rows 0 + z_k S_k^T, as sample_gaussian forms each vector.
+def _noise(factors: list[np.ndarray], z: np.ndarray) -> np.ndarray:
+    """Noise rows F_k z for each seed's step-k draw z in z (S, N, c), with F_k
+    the step's covariance factor: one stacked product per step."""
+    return np.stack([matvec(F, z[:, k]) for k, F in enumerate(factors)], axis=1)
 
-    One product per row: a single batched product rounds differently.
+
+def _simulate(plan: _Plan, seeds: list[int]
+              ) -> tuple[MonteCarloResult, np.ndarray | None, np.ndarray | None]:
+    """Draw each seed's noise, then move every seed's true state and
+    estimate means together, one stacked product per matrix and step.
+
+    Returns the stacked runs with, under an estimator, its means (S, N+1,
+    n; x_0 first) and, on the filter convention, its predicted means
+    (S, N, n).
     """
-    out = np.zeros(z.shape)
-    for row, z_k, S in zip(out, z, factors):
-        row += z_k @ S.T
-    return out
-
-
-@dataclass
-class _Pass:
-    """The per-seed half of a run.
-
-    The trajectory with its cost, the settling report, and the estimator's
-    means (x_0 first), predicted means and innovations.
-    """
-
-    trajectory: Trajectory
-    settling: SettlingReport | None
-    means: list[np.ndarray] | None
-    predicted_means: list[np.ndarray | None]
-    innovations: list[np.ndarray]
-
-
-def _simulate(plan: _Plan, seed: int) -> _Pass:
-    """Draw the seed's noise, then propagate the true state and estimate means."""
     s, est = plan.scenario, plan.estimator
     system, noise = s.system, s.noise
-    n, p, N = system.n, system.p, system.N
+    n, m, p, N, S = system.n, system.m, system.p, system.N, len(seeds)
     A, B = list(system.A), list(system.B)
     measuring = p > 0 and noise is not None
     filter_convention = s.estimator in ("filter", "smoother")
 
     counts = (n, p) if measuring else (n,) if noise is not None else ()
-    head, blocks = _predraw(GaussianStream(seed), n if s.x0 is None else 0, counts, N)
+    heads, z = _predraw([GaussianStream(seed) for seed in seeds],
+                        n if s.x0 is None else 0, counts, N)
     if s.x0 is not None:
-        x0 = s.x0
+        x = np.tile(s.x0, (S, 1))
     elif s.x0_std is not None:
-        x0 = noise.x0_mean + s.x0_std * head
+        x = noise.x0_mean + s.x0_std * heads
     else:
-        x0 = noise.x0_mean + head @ plan.x0_factor.T
-    d = _noise(blocks[0], plan.d_factors) if noise is not None else np.zeros((N, n))
-    v = _noise(blocks[1], plan.v_factors) if measuring else None
+        x = noise.x0_mean + matvec(plan.x0_factor, heads)
+    d = _noise(plan.d_factors, z[0]) if noise is not None else np.zeros((S, N, n))
+    v = _noise(plan.v_factors, z[1]) if measuring else None
 
-    states = np.empty((N + 1, n))
-    inputs = np.empty((N, system.m))
-    outputs = np.empty((N, p)) if measuring else None
-    states[0] = x = x0
-    means = [est.x0_mean] if est is not None else None
-    predicted_means, innovations = [], []
-    zero_u = np.zeros(system.m)
+    states = np.empty((S, N + 1, n))
+    inputs = np.empty((S, N, m))
+    outputs = np.empty((S, N, p)) if measuring else None
+    means = predicted_means = innovations = mean = None
+    if est is not None:
+        means = np.empty((S, N + 1, n))
+        innovations = np.empty((S, N, p))
+        if filter_convention:
+            predicted_means = np.empty((S, N, n))
+        means[:, 0] = mean = np.tile(est.x0_mean, (S, 1))
+    states[:, 0] = x
+    zero_u = np.zeros((S, m))
 
-    def measure(k, x, u):
-        y = system.C[k] @ x + v[k]
-        outputs[k] = y
-        if est is not None:
-            mean, innovation, predicted = est.step(k, means[k], u, y)
-            means.append(mean)
-            predicted_means.append(predicted)
-            innovations.append(innovation)
+    def measure(k, x, u, mean):
+        y = matvec(system.C[k], x) + v[:, k]
+        outputs[:, k] = y
+        if est is None:
+            return None
+        mean, innovations[:, k], predicted = est.step(k, mean, u, y)
+        means[:, k + 1] = mean
+        if predicted is not None:
+            predicted_means[:, k] = predicted
+        return mean
 
     for k in range(N):
         if plan.gains is None:
             u = zero_u
         else:
-            u = -(plan.gains[k] @ (means[k] if s.feedback == "estimate" else x))
-        inputs[k] = u
+            u = -matvec(plan.gains[k], mean if s.feedback == "estimate" else x)
+        inputs[:, k] = u
         if measuring and not filter_convention:
-            measure(k, x, u)                   # measurement at time k
-        x = A[k] @ x + B[k] @ u + d[k]
-        states[k + 1] = x
+            mean = measure(k, x, u, mean)      # measurement at time k
+        x = matvec(A[k], x) + matvec(B[k], u) + d[:, k]
+        states[:, k + 1] = x
         if measuring and filter_convention:
-            measure(k, x, u)                   # measurement at time k+1
+            mean = measure(k, x, u, mean)      # measurement at time k+1
 
-    trajectory = Trajectory(states=states, inputs=inputs, outputs=outputs,
-                            covariances=est.reported if est is not None else None)
-    if s.weights is not None:
-        trajectory.cost = _evaluate_cost(trajectory, s.weights)
-    settling = settling_report(plan.riccati, trajectory) if plan.riccati is not None else None
-    return _Pass(trajectory, settling, means, predicted_means, innovations)
+    estimates = means
+    if est is not None and est.kind == "smoother":
+        estimates = _smoother_means(est.smoother_gains, means, predicted_means)
+    result = MonteCarloResult(
+        seeds=list(seeds), states=states, inputs=inputs, outputs=outputs, estimates=estimates,
+        innovations=innovations,
+        costs=_costs(states, inputs, s.weights) if s.weights is not None else None,
+        settling=_settling_reports(plan.riccati, states) if plan.riccati is not None else None,
+        covariances=est.reported if est is not None else None,
+    )
+    return result, means, predicted_means
 
 
 def run(scenario: Scenario, tol: float = 1e-10, max_iter: int = 100_000) -> RunResult:
@@ -303,24 +337,47 @@ def run(scenario: Scenario, tol: float = 1e-10, max_iter: int = 100_000) -> RunR
 
     Synthesizes the configured controller, simulates the (possibly noisy)
     system, feeds measurements to the configured estimator, and applies
-    u_k = -K_k times the true state or the causal estimate.
+    u_k = -K_k times the true state or the causal estimate.  The one-seed
+    case of `monte_carlo`.
     """
     plan = _plan(scenario, tol, max_iter)
-    seed_pass = _simulate(plan, scenario.seed)
-    trajectory, est, est_run = seed_pass.trajectory, plan.estimator, None
+    runs, means, predicted_means = _simulate(plan, [scenario.seed])
+    est, est_run = plan.estimator, None
+    trajectory = Trajectory(
+        states=runs.states[0], inputs=runs.inputs[0],
+        outputs=runs.outputs[0] if runs.outputs is not None else None,
+        covariances=runs.covariances,
+        cost=float(runs.costs[0]) if runs.costs is not None else None,
+    )
     if est is not None:
-        est_run = est.estimator_run(seed_pass.means, seed_pass.predicted_means,
-                                    seed_pass.innovations)
-        trajectory.estimates = np.array([b.mean for b in getattr(est_run, est.along_states)])
+        est_run = est.estimator_run(
+            means[0], predicted_means[0] if predicted_means is not None else None,
+            runs.innovations[0], runs.estimates[0])
+        trajectory.estimates = runs.estimates[0]
     return RunResult(
         trajectory=trajectory,
         estimator_run=est_run,
         controller_gains=plan.gains,
         riccati=plan.riccati,
         cost=trajectory.cost,
-        settling=seed_pass.settling,
+        settling=runs.settling[0] if runs.settling is not None else None,
         covariance_diagonals=plan.covariance_diagonals,
     )
+
+
+def monte_carlo(scenario: Scenario, seeds, tol: float = 1e-10,
+                max_iter: int = 100_000) -> MonteCarloResult:
+    """Run one scenario once per seed, all seeds in one stacked pass.
+
+    The scenario's own seed is not used.  Seeds must be non-negative
+    integers (ValidationError otherwise).  The seed-independent half
+    (validation, controller synthesis, estimator gain and covariance
+    schedules, noise factors) is built once, and row s of every stacked
+    array equals the matching array of `run(replace(scenario,
+    seed=seeds[s]))` bit for bit.
+    """
+    seeds = [_sweep_value("seed", seed) for seed in seeds]
+    return _simulate(_plan(scenario, tol, max_iter), seeds)[0]
 
 
 def _rescaled(sched: MatrixSchedule, factor: float) -> MatrixSchedule:
@@ -402,28 +459,27 @@ def sweep(scenario: Scenario, axis: str, values, tol: float = 1e-10,
     constant (LTI) schedules; scale axes rescale the LQR weights.  A seed
     sweep builds the seed-independent half of a run (validation, controller
     synthesis, estimator gain and covariance schedules, noise factors) once
-    and shares it across seeds; its points equal independent runs bit for
-    bit.
+    and moves all its seeds in one stacked pass; its points equal
+    independent runs bit for bit.
     """
-    points = []
-    plan = None
-    for value in [_sweep_value(axis, v) for v in values]:
-        if axis == "seed":
-            if plan is None:
-                plan = _plan(scenario, tol, max_iter)
-            seed_pass = _simulate(plan, value)
-        else:
-            plan = _plan(_varied(scenario, axis, value), tol, max_iter)
-            seed_pass = _simulate(plan, scenario.seed)
-        settling = seed_pass.settling
-        terminal_trace = None
-        if plan.covariance_diagonals is not None:
-            terminal_trace = float(plan.covariance_diagonals[-1].sum())
-        points.append(SweepPoint(
-            value=value,
-            cost=seed_pass.trajectory.cost,
-            k_x=settling.k_x if settling else None,
-            k_K=settling.k_K if settling else None,
-            terminal_covariance_trace=terminal_trace,
-        ))
-    return points
+    values = [_sweep_value(axis, v) for v in values]
+    if axis == "seed":
+        return _points(_plan(scenario, tol, max_iter), values, values)
+    return [point for value in values for point in
+            _points(_plan(_varied(scenario, axis, value), tol, max_iter), [scenario.seed],
+                    [value])]
+
+
+def _points(plan: _Plan, seeds: list[int], values: list) -> list[SweepPoint]:
+    """The sweep points of one stacked pass of `plan` over seeds."""
+    runs = _simulate(plan, seeds)[0]
+    terminal_trace = None
+    if plan.covariance_diagonals is not None:
+        terminal_trace = float(plan.covariance_diagonals[-1].sum())
+    settling = runs.settling or [None] * len(seeds)
+    costs = runs.costs if runs.costs is not None else [None] * len(seeds)
+    return [SweepPoint(value=value, cost=float(cost) if cost is not None else None,
+                       k_x=report.k_x if report else None,
+                       k_K=report.k_K if report else None,
+                       terminal_covariance_trace=terminal_trace)
+            for value, cost, report in zip(values, costs, settling)]

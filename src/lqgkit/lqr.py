@@ -107,9 +107,24 @@ def evaluate_cost(trajectory: Trajectory, weights: LqrWeights) -> float:
         raise ValueError(f"{us.shape[0]} inputs for {N + 1} states")
     if len(weights.Q) != N + 1 or len(weights.R) != N:
         raise ValueError(f"weights sized for horizon {len(weights.R)}, trajectory has {N}")
-    J = float(xs[N] @ weights.Q[N] @ xs[N])
+    return float(_costs(xs[None], us[None], weights)[0])
+
+
+def _quadratic_forms(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """x^T W x for each row x of X, each bit for bit float(x @ W @ x)."""
+    return (X[:, None, :] @ W @ X[:, :, None])[:, 0, 0]
+
+
+def _costs(xs: np.ndarray, us: np.ndarray, weights: LqrWeights) -> np.ndarray:
+    """evaluate_cost of each stacked trajectory: xs is (S, N+1, n), us (S, N, m).
+
+    Summed in evaluate_cost's order, J = x_N^T Q_N x_N, then
+    J += (x_k^T Q_k x_k + u_k^T R_k u_k) for k = 0..N-1.
+    """
+    N = us.shape[1]
+    J = _quadratic_forms(xs[:, N], weights.Q[N])
     for k in range(N):
-        J += float(xs[k] @ weights.Q[k] @ xs[k]) + float(us[k] @ weights.R[k] @ us[k])
+        J += _quadratic_forms(xs[:, k], weights.Q[k]) + _quadratic_forms(us[:, k], weights.R[k])
     return J
 
 
@@ -132,6 +147,27 @@ def _steady_riccati(A, B, Q, R, P, tol: float, max_iter: int, name: str):
                 K, _ = dre_step(A, B, Q, R, P)
                 return P, K, it, residual
     raise ConvergenceError(f"steady-state {name} iteration did not converge", residual, max_iter)
+
+
+def _stabilizability_report(A: np.ndarray, B: np.ndarray) -> list[str]:
+    """One report line per mode that keeps (A, B) from being stabilizable.
+
+    The Hautus test: the pair is stabilizable iff rank [A - lam I, B] = n for
+    every eigenvalue lam of A with |lam| >= 1 (within sqrt(eps), so a mode
+    on the unit circle that eigvals rounds inward still counts).  The rank
+    counts the singular values above max(sigma) (n + m) eps, the default of
+    `numpy.linalg.matrix_rank`.
+    """
+    n = A.shape[0]
+    lines = []
+    for lam in np.linalg.eigvals(A):
+        if abs(lam) < 1.0 - np.sqrt(np.finfo(float).eps):
+            continue
+        if np.linalg.matrix_rank(np.hstack([A - lam * np.eye(n), B])) < n:
+            mode = lam.real if lam.imag == 0 else lam
+            lines.append(f"(A, B) is not stabilizable: the mode at eigenvalue {mode:.6g} "
+                         "(|lambda| >= 1) is not reachable through B")
+    return lines
 
 
 def solve_dare_lqr(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
@@ -214,23 +250,34 @@ def settling_report(solution: RiccatiSolution, trajectory: Trajectory,
     Default epsilon is 1e-2 times the initial state magnitude.  k_x = N or
     k_K = 0 indicate that no settling occurred within the horizon.
     """
-    xs = trajectory.states
-    N = xs.shape[0] - 1
+    N = trajectory.states.shape[0] - 1
     if len(solution.K) != N:
         raise ValueError(f"solution horizon {len(solution.K)} does not match trajectory {N}")
+    return _settling_reports(solution, trajectory.states[None], epsilon)[0]
+
+
+def _settling_reports(solution: RiccatiSolution, xs: np.ndarray,
+                      epsilon: float | None = None) -> list[SettlingReport]:
+    """settling_report of each stacked state trajectory xs, (S, N+1, n)."""
+    N = xs.shape[1] - 1
     if epsilon is None:
-        epsilon = 1e-2 * float(np.linalg.norm(xs[0]))
-    norms = np.linalg.norm(xs, axis=1)
-    k_x = N
-    for j in range(N + 1):
-        if np.all(norms[j:] <= epsilon):
-            k_x = j
+        eps = np.array([1e-2 * float(np.linalg.norm(x0)) for x0 in xs[:, 0]])
+    else:
+        eps = np.full(len(xs), float(epsilon))
+    # k_x: the first j with every ||x_j..x_N|| <= eps (N if none).
+    settled = np.linalg.norm(xs, axis=2) <= eps[:, None]
+    after = np.logical_and.accumulate(settled[:, ::-1], axis=1)[:, ::-1]
+    k_x = np.where(after.any(axis=1), after.argmax(axis=1), N)
+    # k_K: the last j of the leading run of gains within eps of K_0 (0 if none);
+    # the drift of K_j from K_0 is needed only up to the first j past every eps.
+    K0, drift = solution.K[0], []
+    limit = np.fmax.reduce(eps, initial=-np.inf)        # a nan eps settles nothing
+    for K in solution.K:
+        drift.append(np.abs(K - K0).max())
+        if not drift[-1] <= limit:
             break
-    K0 = solution.K[0]
-    k_K = 0
-    for j in range(N):
-        if np.max(np.abs(solution.K[j] - K0)) <= epsilon:
-            k_K = j
-        else:
-            break
-    return SettlingReport(k_x=k_x, k_K=k_K, epsilon=float(epsilon))
+    within = np.array(drift)[None, :] <= eps[:, None]
+    leading = np.where(within.all(axis=1), N, within.argmin(axis=1))
+    k_K = np.maximum(leading - 1, 0)
+    return [SettlingReport(k_x=int(a), k_K=int(b), epsilon=float(e))
+            for a, b, e in zip(k_x, k_K, eps)]

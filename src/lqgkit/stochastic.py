@@ -92,21 +92,24 @@ class GaussianStream:
         return z.reshape(-1)[:count]
 
 
-def _predraw(stream: GaussianStream, head: int, counts: tuple[int, ...], rounds: int
+def _predraw(streams: list[GaussianStream], head: int, counts: tuple[int, ...], rounds: int
              ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """What `standard_normal(head)` and then `rounds` rounds of one
-    `standard_normal(c)` call per c in `counts` would return, drawn at once.
+    """What, for each stream, `standard_normal(head)` and then `rounds` rounds
+    of one `standard_normal(c)` call per c in `counts` would return, drawn at once.
 
-    PCG64 uniforms are sequential, so one draw of all the pairs replays the
-    per-call stream exactly, odd spares included.  Returns the head vector
-    and, per count c, a (rounds, c) array whose row k is round k's vector.
+    PCG64 uniforms are sequential, so one call for all of a stream's pairs
+    replays its per-call normals exactly, odd spares included.  Returns the
+    (S, head) head vectors and, per count c, an (S, rounds, c) array whose
+    [s, k] row is stream s's round-k vector.
     """
     padded = [2 * ((c + 1) // 2) for c in counts]
     head_padded = 2 * ((head + 1) // 2)
-    z = stream.standard_normal(head_padded + rounds * sum(padded))
-    body = z[head_padded:].reshape(rounds, sum(padded))
+    z = np.empty((len(streams), head_padded + rounds * sum(padded)))
+    for stream, row in zip(streams, z):
+        row[:] = stream.standard_normal(z.shape[1])
+    body = z[:, head_padded:].reshape(len(streams), rounds, sum(padded))
     starts = np.cumsum([0] + padded[:-1])
-    return z[:head], [body[:, s:s + c] for s, c in zip(starts, counts)]
+    return z[:, :head], [body[:, :, s:s + c] for s, c in zip(starts, counts)]
 
 
 def gaussian_pdf(x: float, mean: float, var: float) -> float:

@@ -285,6 +285,26 @@ class TestValidateCommand:
         assert f"{field} has non-finite entries" in captured.err
         assert "valid" not in captured.out and not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("command", [["validate"], ["simulate"], ["lqr", "--steady"]])
+    def test_unstabilizable_pair_exit_2(self, command, tmp_path, capsys):
+        # the unstable mode 1.5 is unreachable: the steady iteration would diverge
+        path = tmp_path / "unstab.scn"
+        path.write_text(FIG1.replace("A: [[0.5, 0.0], [-1.0, 1.5]]", "A: [[0.5, 0.0], [0.0, 1.5]]")
+                        .replace("B: [[0.5], [0.1]]", "B: [[0.5], [0.0]]")
+                        .replace("controller: lqr", "controller: steady"))
+        assert main(command + [str(path), "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "(A, B) is not stabilizable" in err and "1.5" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_overflowing_rank_one_weight_valid(self, tmp_path, capsys):
+        # Q + Q^T overflows; the weight is still positive semidefinite
+        path = tmp_path / "huge.scn"
+        path.write_text(FIG1.replace("Q: [[1.0, 0.0], [0.0, 1.0]]",
+                                     "Q: [[1.5e308, 1.5e308], [1.5e308, 1.5e308]]"))
+        assert main(["validate", str(path)]) == 0
+        assert "scenario is valid" in capsys.readouterr().out
+
     def test_configuration_violations_reported(self, tmp_path, capsys):
         path = tmp_path / "nonoise.scn"
         path.write_text(FIG1.replace("controller: lqr", "controller: lqr\n  estimator: filter"))

@@ -115,6 +115,25 @@ def test_empty_weight_is_not_positive_definite():
     assert validate(system(m=0), w) == [f"R is not positive definite (tol {TOL})"]
 
 
+# ------------------------------------------- symmetric parts near the overflow
+
+def test_overflowing_sum_is_decided_not_raised():
+    # M + M^T overflows to inf for these finite entries, which made eigvalsh
+    # raise "Eigenvalues did not converge"; 0.5 M + 0.5 M^T stays finite and
+    # the eigenvalue test decides as for any other weight
+    Q = np.full((3, 3), 1.5e308)
+    psd = np.linalg.eigvalsh(0.5 * Q + 0.5 * Q.T).min() >= -TOL
+    assert validate(system(), weights(Q=Q)) == ([] if psd else [f"Q {PSD}"])
+
+
+def test_overflowing_rank_one_weight_is_psd():
+    # eigenvalues 0 and 3e308: positive semidefinite, though M + M^T is inf
+    sys2 = LtvSystem.lti(0.5 * np.eye(2), np.ones((2, 1)), horizon=N)
+    Q = np.full((2, 2), 1.5e308)
+    assert validate(sys2, LqrWeights.constant(Q, 1.0, horizon=N)) == []
+    assert validate(sys2, LqrWeights.constant(-Q, 1.0, horizon=N)) == [f"Q {PSD}"]
+
+
 # --------------------------------------------------------- property: the oracle
 
 def least_eigenvalue(M):

@@ -15,6 +15,7 @@ from conftest import (
     bench_weights,
 )
 from lqgkit import (
+    LtvSystem,
     Scenario,
     SweepPoint,
     ValidationError,
@@ -208,6 +209,33 @@ class TestRunValidation:
         with pytest.raises(ValidationError) as excinfo:
             run(scenario)
         assert "sim_Qd entries have shape (3, 3), expected (2, 2)" in excinfo.value.violations
+
+    @pytest.mark.parametrize("A, B", [
+        (np.diag([1.5, 0.5]), [[0.0], [1.0]]),                     # unstable, unreachable
+        (np.diag([1.0, 0.5]), [[0.0], [1.0]]),                     # on the unit circle
+        (1.2 * np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]),
+         [[0.0], [0.0]]),                                          # complex pair, no input
+        (np.array([[1.5, 1.0], [0.0, 1.5]]), [[1.0], [0.0]]),      # Jordan block, tail end
+    ])
+    def test_steady_requires_stabilizable_pair(self, A, B):
+        scenario = Scenario(system=LtvSystem.lti(A, B, horizon=5), weights=bench_weights(5),
+                            controller="steady", x0=X0_BENCH)
+        with pytest.raises(ValidationError) as excinfo:
+            run(scenario)
+        assert excinfo.value.violations[0].startswith("(A, B) is not stabilizable")
+        # the finite-horizon schedule needs no stabilizability
+        assert run(replace(scenario, controller="lqr")).cost is not None
+
+    @pytest.mark.parametrize("A, B", [
+        (np.diag([0.5, 1.5]), [[0.0], [1.0]]),                     # only a stable mode unreachable
+        (A_BENCH, [[0.5], [0.1]]),
+        (np.array([[1.5, 1.0], [0.0, 1.5]]), [[0.0], [1.0]]),      # Jordan block, head end
+    ])
+    def test_stabilizable_pair_accepted(self, A, B):
+        scenario = Scenario(system=LtvSystem.lti(A, B, horizon=5), weights=bench_weights(5),
+                            controller="steady", x0=X0_BENCH)
+        assert _config_violations(scenario) == []
+        assert run(scenario).cost is not None
 
     def test_steady_requires_lti(self):
         N = 4

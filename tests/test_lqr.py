@@ -3,6 +3,8 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import A_BENCH, B_BENCH, K_STEADY, X0_BENCH, bench_system, bench_weights
 from lqgkit import (
@@ -343,3 +345,42 @@ class TestSettlingReport:
         traj = simulate_closed_loop(system, solution, X0_BENCH)
         report = settling_report(solution, traj)
         assert report.epsilon == pytest.approx(1e-2 * np.linalg.norm(X0_BENCH))
+
+
+def scanned_settling(K, xs, epsilon):
+    """k_x and k_K by scanning, as the report defines them: k_x is the first j
+    with every ||x_j..x_N|| <= epsilon (N if none), k_K the last j of the
+    leading run of gains within epsilon (max-abs) of K_0 (0 if none)."""
+    N = len(xs) - 1
+    norms = np.linalg.norm(xs, axis=1)
+    k_x = next((j for j in range(N + 1) if np.all(norms[j:] <= epsilon)), N)
+    k_K = 0
+    for j in range(N):
+        if np.max(np.abs(K[j] - K[0])) > epsilon:
+            break
+        k_K = j
+    return k_x, k_K
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(1, 12), n=st.integers(1, 3), m=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1), epsilon=st.sampled_from([None, 0.0, 0.05, 0.5, 5.0]))
+def test_settling_indices_equal_scan(N, n, m, seed, epsilon):
+    # states that decay with random bumps and gains that drift from random
+    # points on, several trajectories of one schedule reported at once
+    from lqgkit.lqr import _settling_reports
+
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((4, N + 1, n)) * rng.choice([0.01, 0.1, 1.0], (4, N + 1, 1))
+    xs[rng.random(4) < 0.25, :, :] = 0.0
+    K = np.repeat(rng.standard_normal((1, m, n)), N, axis=0)
+    K[rng.integers(0, N + 1):] += rng.choice([0.0, 0.01, 0.3, 1.0]) * rng.standard_normal((m, n))
+    solution = RiccatiSolution(P=MatrixSchedule.constant(np.eye(n), N + 1),
+                               K=MatrixSchedule.of(list(K)))
+    reports = _settling_reports(solution, xs, epsilon)
+    for x, stacked in zip(xs, reports):
+        eps = 1e-2 * float(np.linalg.norm(x[0])) if epsilon is None else epsilon
+        report = settling_report(solution, Trajectory(states=x, inputs=np.zeros((N, m))),
+                                 epsilon)
+        assert report == stacked
+        assert (report.k_x, report.k_K, report.epsilon) == (*scanned_settling(K, x, eps), eps)

@@ -1,0 +1,264 @@
+"""The stacked seed pass: `monte_carlo`, seed sweeps, and `run` share one kernel.
+
+Row s of a stacked pass must equal the independent run with seed s bit for
+bit, sign of zero included, on time-varying systems of several sizes and in
+every configuration the harness accepts.  The consistency test checks the
+filter's error statistics over 10k seeds against the covariance it reports
+(the NEES test of Bar-Shalom, Li & Kirubarajan, Estimation with Applications
+to Tracking and Navigation, 2001, sec. 5.4).
+"""
+import itertools
+import time
+from dataclasses import replace
+from importlib import resources
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lqgkit import (
+    GaussianStream,
+    GaussianVector,
+    LqrWeights,
+    LtvSystem,
+    MatrixSchedule,
+    NoiseModel,
+    Scenario,
+    SweepPoint,
+    ValidationError,
+    filter_run,
+    monte_carlo,
+    parse_scenario,
+    predictor_run,
+    run,
+    sample_gaussian,
+    solve_lqr,
+    sweep,
+)
+from lqgkit.cli import _bundled_scenario
+from lqgkit.harness import CONTROLLERS, ESTIMATORS, FEEDBACK, _config_violations
+
+
+def ltv_scenario(seed, n, m, p, N):
+    """Per-step A, B, C, Q, R, Qd, Rv; SPD P0; a fixed and an observer gain."""
+    rng = np.random.default_rng(seed)
+
+    def spd(dim, floor):
+        W = rng.standard_normal((dim, dim))
+        return floor * np.eye(dim) + 0.5 * (W @ W.T + (W @ W.T).T) / dim
+
+    system = LtvSystem.from_schedules(
+        [1.2 * rng.standard_normal((n, n)) / np.sqrt(n) for _ in range(N)],
+        [rng.standard_normal((n, m)) for _ in range(N)],
+        [rng.standard_normal((p, n)) for _ in range(N)], horizon=N)
+    weights = LqrWeights(Q=MatrixSchedule.of([spd(n, 0.0) for _ in range(N + 1)]),
+                         R=MatrixSchedule.of([spd(m, 0.5) for _ in range(N)]))
+    noise = NoiseModel(Qd=MatrixSchedule.of([spd(n, 0.1) for _ in range(N)]),
+                       Rv=MatrixSchedule.of([spd(p, 0.1) for _ in range(N)]),
+                       x0_mean=rng.standard_normal(n), P0=spd(n, 0.1))
+    return Scenario(system=system, weights=weights, noise=noise,
+                    fixed_gain=0.3 * rng.standard_normal((m, n)),
+                    luenberger_gain=0.3 * rng.standard_normal((n, p)),
+                    x0=rng.standard_normal(n))
+
+
+def ltv_configurations():
+    """Every controller x estimator x feedback accepted on an LTV system, each
+    with x0 given and with x0 sampled from N(x0_mean, P0)."""
+    base = ltv_scenario(0, 2, 1, 1, 3)
+    cases = []
+    for config in itertools.product(CONTROLLERS, ESTIMATORS, FEEDBACK):
+        settings_ = dict(zip(("controller", "estimator", "feedback"), config))
+        if _config_violations(replace(base, **settings_)):
+            continue
+        for x0 in ("given", "P0"):
+            cases.append(pytest.param(settings_, x0, id="-".join(config + (x0,))))
+    return cases
+
+
+def same(a, b):
+    """Equal shapes and bytes: equal values, sign of zero included."""
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def point(value, result) -> SweepPoint:
+    trace = None
+    if result.covariance_diagonals is not None:
+        trace = float(result.covariance_diagonals[-1].sum())
+    settling = result.settling
+    return SweepPoint(value=value, cost=result.cost,
+                      k_x=settling.k_x if settling else None,
+                      k_K=settling.k_K if settling else None,
+                      terminal_covariance_trace=trace)
+
+
+def test_configurations_cover_the_kernel():
+    ids = [case.id for case in ltv_configurations()]
+    assert len(ids) == 48
+    assert not any(i.startswith("steady") for i in ids)      # steady needs constant A, B
+    assert "lqr-smoother-true_state-P0" in ids and "lqr-filter-estimate-given" in ids
+
+
+@pytest.mark.parametrize("config, x0", ltv_configurations())
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(system_seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 3),
+       p=st.integers(1, 3), N=st.integers(1, 8),
+       seeds=st.lists(st.integers(0, 2**64 - 1), min_size=17, max_size=17))
+def test_stacked_pass_equals_independent_runs(config, x0, system_seed, n, m, p, N, seeds):
+    scenario = replace(ltv_scenario(system_seed, n, m, p, N), **config)
+    if x0 == "P0":
+        scenario = replace(scenario, x0=None)
+    runs = [run(replace(scenario, seed=seed)) for seed in seeds]
+    for S in (1, 2, 17):
+        assert sweep(scenario, "seed", seeds[:S]) == \
+            [point(seed, result) for seed, result in zip(seeds[:S], runs)]
+    stacked = monte_carlo(scenario, seeds)
+    for s, result in enumerate(runs):
+        traj = result.trajectory
+        assert same(stacked.states[s], traj.states)
+        assert same(stacked.inputs[s], traj.inputs)
+        assert same(stacked.outputs[s], traj.outputs)
+        assert same(stacked.estimates[s] if stacked.estimates is not None else None,
+                    traj.estimates)
+        assert stacked.costs[s] == result.cost
+        assert (stacked.settling[s] if stacked.settling else None) == result.settling
+        if config["estimator"] in ("predictor", "filter", "smoother"):
+            assert same(stacked.innovations[s], result.estimator_run.innovations)
+    assert same(stacked.covariances, runs[0].trajectory.covariances)
+
+
+def one_vector_run(s, seed):
+    """The run as one-vector products, each noise vector drawn by its own
+    sample_gaussian call: the per-seed loop the stacked pass replaced, kept
+    as the oracle.  Kalman gains come from the covariance pass (they read no
+    data); states, inputs, outputs, means and the cost are formed here."""
+    system, noise, N = s.system, s.noise, s.system.N
+    n, m, p = system.n, system.m, system.p
+    A, B, C = list(system.A), list(system.B), list(system.C)
+    stream = GaussianStream(seed)
+    x = s.x0 if s.x0 is not None else sample_gaussian(noise.initial_belief(), stream)[0]
+    K = {"none": None, "fixed": [s.fixed_gain] * N,
+         "lqr": list(solve_lqr(system, s.weights).K)}[s.controller]
+    L = None
+    if s.estimator != "none":
+        estimator = predictor_run if s.estimator == "predictor" else filter_run
+        L = estimator(system, noise, np.zeros((N, m)), np.zeros((N, p))).gains
+    mean = noise.x0_mean
+    states, inputs, outputs, means = [x], [], [], [mean]
+    for k in range(N):
+        d = sample_gaussian(GaussianVector(np.zeros(n), noise.Qd[k]), stream)[0]
+        v = sample_gaussian(GaussianVector(np.zeros(p), noise.Rv[k]), stream)[0]
+        u = np.zeros(m) if K is None else -(K[k] @ (mean if s.feedback == "estimate" else x))
+        if s.estimator != "filter":                  # measurement at time k
+            outputs.append(C[k] @ x + v)
+            if L is not None:
+                mean = A[k] @ mean + B[k] @ u + L[k] @ (outputs[k] - C[k] @ mean)
+        x = A[k] @ x + B[k] @ u + d
+        if s.estimator == "filter":                  # measurement at time k+1
+            outputs.append(C[k] @ x + v)
+            predicted = A[k] @ mean + B[k] @ u
+            mean = predicted + L[k] @ (outputs[k] - C[k] @ predicted)
+        states.append(x)
+        inputs.append(u)
+        means.append(mean)
+    Q, R = s.weights.Q, s.weights.R
+    J = float(x @ Q[N] @ x)
+    for k in range(N):
+        J += float(states[k] @ Q[k] @ states[k]) + float(inputs[k] @ R[k] @ inputs[k])
+    return np.array(states), np.array(inputs), np.array(outputs), np.array(means), J
+
+
+@pytest.mark.parametrize("config", [
+    c for c in itertools.product(("none", "fixed", "lqr"), ("none", "predictor", "filter"),
+                                 FEEDBACK, ("given", "P0"))
+    if c[2] == "true_state" or c[1] != "none"], ids="-".join)
+def test_stacked_pass_equals_one_vector_products(config):
+    controller, estimator, feedback, x0 = config
+    seeds = [0, 3, 2**40]
+    for dims in ((1, 1, 1, 3), (3, 2, 2, 6), (6, 3, 3, 8)):
+        scenario = replace(ltv_scenario(sum(dims), *dims), controller=controller,
+                           estimator=estimator, feedback=feedback)
+        if x0 == "P0":
+            scenario = replace(scenario, x0=None)
+        stacked = monte_carlo(scenario, seeds)
+        for s, seed in enumerate(seeds):
+            states, inputs, outputs, means, cost = one_vector_run(scenario, seed)
+            assert same(stacked.states[s], states) and same(stacked.inputs[s], inputs)
+            assert same(stacked.outputs[s], outputs)
+            if estimator != "none":
+                assert same(stacked.estimates[s], means)
+            assert stacked.costs[s] == cost
+
+
+class TestMonteCarlo:
+    def test_rows_equal_runs_on_fig4(self):
+        scenario = _bundled_scenario("fig4")
+        seeds = [5, 0, 5, 2**63 + 1]
+        stacked = monte_carlo(scenario, seeds)
+        assert stacked.seeds == seeds
+        assert stacked.states.shape == (4, 51, 2) and stacked.inputs.shape == (4, 50, 1)
+        assert stacked.outputs.shape == (4, 50, 1) and stacked.innovations.shape == (4, 50, 1)
+        assert stacked.covariances.shape == (51, 2, 2)
+        assert not stacked.covariances.flags.writeable
+        for s, seed in enumerate(seeds):
+            result = run(replace(scenario, seed=seed))
+            assert same(stacked.states[s], result.trajectory.states)
+            assert same(stacked.estimates[s], result.trajectory.estimates)
+            assert stacked.costs[s] == result.cost
+        assert stacked.settling is None             # settling needs an `lqr` controller
+
+    def test_without_estimator_or_noise(self):
+        stacked = monte_carlo(_bundled_scenario("fig1"), [0, 1])
+        assert stacked.outputs is stacked.estimates is stacked.innovations is None
+        assert stacked.covariances is None
+        assert same(stacked.states[0], stacked.states[1])   # x0 given, no noise
+        assert stacked.settling == [run(_bundled_scenario("fig1")).settling] * 2
+
+    def test_no_seeds(self):
+        stacked = monte_carlo(_bundled_scenario("fig4"), [])
+        assert stacked.states.shape == (0, 51, 2) and stacked.costs.shape == (0,)
+
+    @pytest.mark.parametrize("seed, message", [(-1, "seed must be non-negative"),
+                                               (1.5, "is not an integer")])
+    def test_bad_seed_rejected(self, seed, message):
+        with pytest.raises(ValidationError, match=message):
+            monte_carlo(_bundled_scenario("fig4"), [0, seed])
+
+    def test_invalid_scenario_rejected(self):
+        with pytest.raises(ValidationError):
+            monte_carlo(replace(_bundled_scenario("fig4"), controller="pid"), [0])
+
+
+def fig4_without_truth() -> Scenario:
+    text = (resources.files("lqgkit") / "scenarios" / "fig4.scn").read_text(encoding="utf-8")
+    head, tail = text.split("truth:\n")
+    return parse_scenario(head + tail[tail.index("run:"):])
+
+
+def test_filter_consistency_over_10k_seeds():
+    # With the truth section deleted, the simulated noise is the noise the
+    # filter assumes, so the final error x_N - x_{N|N} is N(0, P(N|N)).  Over
+    # S = 10k seeds a sample variance has relative standard error
+    # sqrt(2 / (S - 1)) = 1.4%, the error mean sqrt(P_ii / S), and the
+    # average NEES e^T P^-1 e (n = 2 degrees of freedom) sqrt(2 n / S) = 0.02;
+    # each is held to five standard errors.
+    scenario = fig4_without_truth()
+    assert scenario.sim_Qd is scenario.sim_Rv is scenario.x0_std is None
+    S, n = 10_000, scenario.system.n
+    start = time.perf_counter()
+    stacked = monte_carlo(scenario, range(S))
+    elapsed = time.perf_counter() - start
+    errors = stacked.states[:, -1] - stacked.estimates[:, -1]
+    P = stacked.covariances[-1]
+    variances = np.diag(P)
+    rel = np.abs(errors.var(axis=0, ddof=1) - variances) / variances
+    assert np.all(rel < 5 * np.sqrt(2 / (S - 1))), f"relative deviation {rel}"
+    assert np.all(np.abs(errors.mean(axis=0)) < 5 * np.sqrt(variances / S))
+    anees = np.mean(np.sum(errors * np.linalg.solve(P, errors.T).T, axis=1))
+    assert abs(anees - n) < 5 * np.sqrt(2 * n / S), f"ANEES {anees}"
+    # 0.6-1.1 s on a 2-vCPU host; one run per seed took ~12 s
+    assert elapsed < 5.0

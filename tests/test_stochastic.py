@@ -185,17 +185,21 @@ class TestGaussianStream:
     @pytest.mark.parametrize("head, counts", [(2, (2, 1)), (3, (5, 0, 1)), (0, (4,)), (1, ())])
     def test_predraw_replays_per_call_stream(self, head, counts):
         # one draw of every pair equals the sequence of per-vector calls,
-        # including the spare of each odd count that a call discards
+        # including the spare of each odd count that a call discards, for
+        # each of several streams drawn together
         from lqgkit.stochastic import _predraw
 
-        rounds = 7
-        predrawn = GaussianStream(11)
+        rounds, seeds = 7, (11, 0, 2**63 + 5)
+        predrawn = [GaussianStream(seed) for seed in seeds]
         first, blocks = _predraw(predrawn, head, counts, rounds)
-        stream = GaussianStream(11)
-        np.testing.assert_array_equal(first, stream.standard_normal(head))
+        assert first.shape == (len(seeds), head)
         assert len(blocks) == len(counts)
-        for k in range(rounds):
-            for block, c in zip(blocks, counts):
-                np.testing.assert_array_equal(block[k], stream.standard_normal(c))
-        # both streams consumed the same uniforms
-        np.testing.assert_array_equal(predrawn.standard_normal(3), stream.standard_normal(3))
+        for s, seed in enumerate(seeds):
+            stream = GaussianStream(seed)
+            np.testing.assert_array_equal(first[s], stream.standard_normal(head))
+            for k in range(rounds):
+                for block, c in zip(blocks, counts):
+                    np.testing.assert_array_equal(block[s, k], stream.standard_normal(c))
+            # both streams consumed the same uniforms
+            np.testing.assert_array_equal(predrawn[s].standard_normal(3),
+                                          stream.standard_normal(3))
