@@ -9,7 +9,8 @@ current predicted mean.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,37 +21,65 @@ from .model import LtvSystem, NoiseModel
 
 @dataclass(frozen=True)
 class Belief:
-    """State estimate with its error covariance at tag = (k, l)."""
+    """State estimate with its error covariance at tag = (k, l).
+
+    cov is None for a fixed-gain (Luenberger) observer, which computes none.
+    """
 
     mean: np.ndarray
-    cov: np.ndarray
+    cov: np.ndarray | None
     tag: tuple[int, int]
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, dtype=float)))
-        object.__setattr__(self, "cov", np.atleast_2d(np.asarray(self.cov, dtype=float)))
+        if self.cov is not None:
+            object.__setattr__(self, "cov", np.atleast_2d(np.asarray(self.cov, dtype=float)))
+
+
+class BeliefSequence(Sequence):
+    """Read-only beliefs of one estimator pass, stored as stacked arrays.
+
+    Entry i pairs row i of `means` (K, n) with entry i of `covs`, the plan's
+    (K, n, n) covariance schedule (None for a fixed-gain observer).  It is
+    the belief at k = first + i given measurements through l = k + lag, or
+    through the last k when lag is None (the smoother's l = N).  A Belief
+    is built only when an entry is read; a slice reads as a list of them.
+    """
+
+    def __init__(self, means: np.ndarray, covs: np.ndarray | None, first: int,
+                 lag: int | None):
+        self.means, self.covs = means, covs
+        self._first, self._lag = first, lag
+
+    def __len__(self) -> int:
+        return len(self.means)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]     # negative indices; IndexError past either end
+        k = self._first + i
+        given = self._first + len(self) - 1 if self._lag is None else k + self._lag
+        return Belief(self.means[i], None if self.covs is None else self.covs[i], (k, given))
 
 
 @dataclass
 class EstimatorRun:
     """Beliefs, gains, and innovations produced by one estimator pass.
 
-    predicted holds (k | k-1) beliefs, updated (k | k), smoothed (k | N);
-    a predictor-only run fills `predicted` (including the initial belief)
-    and leaves `updated` empty.  `gains` are n x p Kalman gains, or n x n
-    smoother gains on a smoother run.
+    predicted holds (k | k-1) beliefs, updated (k | k), smoothed (k | N),
+    each a BeliefSequence over the pass's means and the covariances computed
+    for them; a predictor-convention run fills `predicted` (including the
+    initial belief) and leaves `updated` empty.  `gains` (N, n, p) are the
+    Kalman or observer gains, or the (N, n, n) smoother gains on a smoother
+    run; `innovations` is (N, p).
     """
 
-    predicted: list[Belief] = field(default_factory=list)
-    updated: list[Belief] = field(default_factory=list)
-    smoothed: list[Belief] | None = None
-    gains: list[np.ndarray] = field(default_factory=list)
-    innovations: list[np.ndarray] = field(default_factory=list)
-
-    def covariance_diagonals(self, which: str) -> np.ndarray:
-        beliefs = {"predicted": self.predicted, "updated": self.updated,
-                   "smoothed": self.smoothed or []}[which]
-        return np.array([np.diag(b.cov) for b in beliefs])
+    predicted: BeliefSequence
+    updated: BeliefSequence
+    smoothed: BeliefSequence | None
+    gains: np.ndarray
+    innovations: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -179,18 +208,18 @@ class _EstimatorPlan:
     """Seed-independent half of an estimator: its gain and covariance schedules.
 
     kind is "predictor", "luenberger" (the predictor's mean update with a
-    fixed gain and zero covariance), "filter", or "smoother" (the filter
-    plus RTS gains and P_{k|N}).  The covariance pass runs once here;
-    `step` then moves only the means, of one run or of a stack of runs at
-    once, so a seed sweep shares one plan.
+    fixed gain and no covariance), "filter", or "smoother" (the filter plus
+    RTS gains and P_{k|N}).  The covariance pass runs once here; a
+    `_MeanPass` then moves only the means, of one run or of a stack of runs
+    at once, so a seed sweep shares one plan.
     Predictor-convention kinds take measurement k at state x_k; the filter
     and smoother take it at x_{k+1}.  Either way it uses stored entry k.
 
     Schedules are read-only stacked arrays: `gains` L_k and `predicted`
-    P_{k|k-1} (predictor k = 0..N; filter P_{k+1|k} at index k), `updated`
-    P_{k|k}, `smoother_gains` Ls_k and `smoothed` P_{k|N}.  `reported` is
-    the one aligned with states 0..N, and `along_states` names it, which is
-    also the EstimatorRun field holding the beliefs reported there.
+    P_{k|k-1} (predictor k = 0..N; filter P_{k+1|k} at index k; None for
+    the observer), `updated` P_{k|k}, `smoother_gains` Ls_k and `smoothed`
+    P_{k|N}.  `reported` is the covariance schedule aligned with states
+    0..N, None for the observer.
     """
 
     def __init__(self, kind: str, system: LtvSystem, noise: NoiseModel,
@@ -201,10 +230,9 @@ class _EstimatorPlan:
         n, p, N = system.n, system.p, system.N
         self.A, self.B, self.C = list(system.A), list(system.B), list(system.C)
         Qd, Rv = list(noise.Qd), list(noise.Rv)
-        self.updated = self.smoother_gains = self.smoothed = None
+        self.predicted = self.updated = self.smoother_gains = self.smoothed = None
         if kind == "luenberger":
-            self.gains = [luenberger_gain] * N
-            self.predicted = np.zeros((N + 1, n, n))
+            self.gains = np.broadcast_to(luenberger_gain, (N, *luenberger_gain.shape))
         elif kind == "predictor":
             self.gains, self.predicted = np.empty((N, n, p)), np.empty((N + 1, n, n))
             self.predicted[0] = noise.P0
@@ -224,103 +252,104 @@ class _EstimatorPlan:
                     self.A, self.updated, self.predicted)
         for schedule in (self.gains, self.predicted, self.updated, self.smoother_gains,
                          self.smoothed):
-            if isinstance(schedule, np.ndarray):
+            if schedule is not None:
                 schedule.flags.writeable = False
-        self.along_states = ("predicted" if self.predictor_convention else
-                             "smoothed" if kind == "smoother" else "updated")
-        self.reported = getattr(self, self.along_states)
-
-    def step(self, k: int, mean, u, y):
-        """Mean update of step k; returns (mean', innovation, predicted mean).
-
-        mean, u and y are vectors or (S, .) stacks of S runs' vectors.
-        Predictor convention: x_{k|k-1} -> x_{k+1|k}, no separate predicted
-        mean (None).  Filter: x_{k|k} -> x_{k+1|k+1} through x_{k+1|k}.
-        """
-        if self.predictor_convention:
-            innovation = y - matvec(self.C[k], mean)
-            return (matvec(self.A[k], mean) + matvec(self.B[k], u)
-                    + matvec(self.gains[k], innovation)), innovation, None
-        predicted = matvec(self.A[k], mean) + matvec(self.B[k], u)
-        innovation = y - matvec(self.C[k], predicted)
-        return predicted + matvec(self.gains[k], innovation), innovation, predicted
-
-    def estimator_run(self, means: np.ndarray, predicted_means: np.ndarray | None,
-                      innovations: np.ndarray, smoothed: np.ndarray | None = None
-                      ) -> EstimatorRun:
-        """Beliefs of one mean pass joined with the schedules.
-
-        means is (N+1, n) with x_0 first, predicted_means (N, n) on the
-        filter convention (None otherwise), innovations (N, p); a smoother
-        plan also takes its smoothed means.
-        """
-        N = len(means) - 1
-        if self.predictor_convention:
-            run = EstimatorRun(predicted=[Belief(means[k], self.predicted[k], (k, k - 1))
-                                          for k in range(N + 1)])
-            if self.kind == "predictor":
-                run.gains, run.innovations = list(self.gains), list(innovations)
-            return run
-        run = EstimatorRun(
-            predicted=[Belief(predicted_means[k], self.predicted[k], (k + 1, k))
-                       for k in range(N)],
-            updated=[Belief(means[k], self.updated[k], (k, k)) for k in range(N + 1)],
-            gains=list(self.gains), innovations=list(innovations),
-        )
-        if self.kind == "smoother":
-            run.smoothed = [Belief(smoothed[k], self.smoothed[k], (k, N)) for k in range(N + 1)]
-            run.gains = list(self.smoother_gains)
-        return run
+        self.reported = (self.predicted if self.predictor_convention else
+                         self.smoothed if kind == "smoother" else self.updated)
 
 
-def _estimate(plan: _EstimatorPlan, inputs: np.ndarray, measurements: np.ndarray
+class _MeanPass:
+    """The estimate means of S runs of one plan, moved together.
+
+    `means` (S, N+1, n) starts every run at x0_mean; `step(k, u, y)` takes
+    the runs' inputs u (S, m) and measurements y (S, p) and fills slot k+1
+    of `means` and slot k of `innovations` (S, N, p) and, on the filter
+    convention, of `predicted` (S, N, n).  Predictor convention: x_{k|k-1}
+    -> x_{k+1|k}.  Filter: x_{k|k} -> x_{k+1|k+1} through x_{k+1|k}.
+    """
+
+    def __init__(self, plan: _EstimatorPlan, S: int):
+        N, n, p = len(plan.A), len(plan.x0_mean), plan.C[0].shape[0]
+        self.plan = plan
+        self.means = np.empty((S, N + 1, n))
+        self.means[:, 0] = plan.x0_mean
+        self.predicted = None if plan.predictor_convention else np.empty((S, N, n))
+        self.innovations = np.empty((S, N, p))
+        self.smoothed = None
+
+    def step(self, k: int, u, y) -> None:
+        plan, mean = self.plan, self.means[:, k]
+        if plan.predictor_convention:
+            self.innovations[:, k] = innovation = y - matvec(plan.C[k], mean)
+            self.means[:, k + 1] = (matvec(plan.A[k], mean) + matvec(plan.B[k], u)
+                                    + matvec(plan.gains[k], innovation))
+        else:
+            self.predicted[:, k] = predicted = matvec(plan.A[k], mean) + matvec(plan.B[k], u)
+            self.innovations[:, k] = innovation = y - matvec(plan.C[k], predicted)
+            self.means[:, k + 1] = predicted + matvec(plan.gains[k], innovation)
+
+    def finish(self) -> np.ndarray:
+        """After the last step: the means aligned with the states, which on
+        a smoother plan are the smoothed means x_{k|N}."""
+        if self.plan.kind != "smoother":
+            return self.means
+        self.smoothed = _smoother_means(self.plan.smoother_gains, self.means, self.predicted)
+        return self.smoothed
+
+    def run(self, s: int) -> EstimatorRun:
+        """Run s's beliefs: its rows of the means with the plan's schedules."""
+        plan, means = self.plan, self.means[s]
+        if plan.predictor_convention:
+            predicted = BeliefSequence(means, plan.predicted, 0, -1)
+            updated = BeliefSequence(means[:0], None, 0, 0)
+        else:
+            predicted = BeliefSequence(self.predicted[s], plan.predicted, 1, -1)
+            updated = BeliefSequence(means, plan.updated, 0, 0)
+        if plan.kind != "smoother":
+            return EstimatorRun(predicted, updated, None, plan.gains, self.innovations[s])
+        return EstimatorRun(predicted, updated,
+                            BeliefSequence(self.smoothed[s], plan.smoothed, 0, None),
+                            plan.smoother_gains, self.innovations[s])
+
+
+def _estimate(kind: str, system: LtvSystem, noise: NoiseModel, inputs, measurements
               ) -> EstimatorRun:
-    """One mean pass of `plan` over recorded inputs and measurements."""
-    N = inputs.shape[0]
-    means = np.empty((N + 1, len(plan.x0_mean)))
-    predicted_means = None if plan.predictor_convention else np.empty((N, means.shape[1]))
-    innovations = np.empty(measurements.shape)
-    means[0] = plan.x0_mean
-    for k in range(N):
-        means[k + 1], innovations[k], predicted = plan.step(k, means[k], inputs[k],
-                                                            measurements[k])
-        if predicted is not None:
-            predicted_means[k] = predicted
-    return plan.estimator_run(means, predicted_means, innovations)
+    """One mean pass of a `kind` plan over recorded inputs (N, m) and
+    measurements (N, p); ValueError naming the argument on any other shape."""
+    recorded = []
+    for name, value, width in (("inputs", inputs, "m"), ("measurements", measurements, "p")):
+        value = np.asarray(value, dtype=float)
+        shape = (system.N, getattr(system, width))
+        if value.shape != shape:
+            raise ValueError(f"{name} must have shape (N, {width}) = {shape}, got {value.shape}")
+        recorded.append(value)
+    inputs, measurements = recorded
+    mean_pass = _MeanPass(_EstimatorPlan(kind, system, noise), 1)
+    for k in range(system.N):
+        mean_pass.step(k, inputs[k], measurements[k])
+    return mean_pass.run(0)
 
 
 def filter_run(system: LtvSystem, noise: NoiseModel, inputs, measurements) -> EstimatorRun:
     """Kalman filter over the horizon: predict/update for k = 1..N.
 
-    inputs are u_0..u_{N-1}; measurements are y_1..y_N (the filter's
-    convention: measurement k is taken at state x_k and uses the (k-1)-th
-    stored C/Rv entry).  Starts from the noise model's (x0_mean, P0) at
-    tag (0 | 0).
+    inputs are u_0..u_{N-1} (N, m); measurements are y_1..y_N (N, p) (the
+    filter's convention: measurement k is taken at state x_k and uses the
+    (k-1)-th stored C/Rv entry).  Starts from the noise model's (x0_mean,
+    P0) at tag (0 | 0).
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
-    N = system.N
-    if inputs.shape[0] != N:
-        raise ValueError(f"{inputs.shape[0]} inputs for horizon {N}")
-    if measurements.shape[0] != N:
-        raise ValueError(f"{measurements.shape[0]} measurements for horizon {N}")
-    return _estimate(_EstimatorPlan("filter", system, noise), inputs, measurements)
+    return _estimate("filter", system, noise, inputs, measurements)
 
 
 def predictor_run(system: LtvSystem, noise: NoiseModel, inputs, measurements) -> EstimatorRun:
     """Kalman predictor over the horizon: one step per k = 0..N-1.
 
-    measurements are y_0..y_{N-1} (the predictor's convention: measurement k
-    is taken at state x_k and uses the k-th stored C/Rv entry).  Starts from
-    (x0_mean, P0) at tag (0 | -1); `predicted` holds beliefs (k | k-1) for
-    k = 0..N.
+    inputs are u_0..u_{N-1} (N, m); measurements are y_0..y_{N-1} (N, p)
+    (the predictor's convention: measurement k is taken at state x_k and
+    uses the k-th stored C/Rv entry).  Starts from (x0_mean, P0) at tag
+    (0 | -1); `predicted` holds beliefs (k | k-1) for k = 0..N.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
-    N = system.N
-    if inputs.shape[0] != N or measurements.shape[0] != N:
-        raise ValueError("inputs and measurements must both have horizon length")
-    return _estimate(_EstimatorPlan("predictor", system, noise), inputs, measurements)
+    return _estimate("predictor", system, noise, inputs, measurements)
 
 
 def smoother_run(system: LtvSystem, noise: NoiseModel, filtered: EstimatorRun) -> EstimatorRun:
@@ -335,20 +364,13 @@ def smoother_run(system: LtvSystem, noise: NoiseModel, filtered: EstimatorRun) -
     a singular predicted covariance (possible only with a degenerate Qd) is
     an error.
     """
-    N = len(filtered.predicted)
-    if len(filtered.updated) != N + 1:
+    predicted, updated = filtered.predicted, filtered.updated
+    if len(updated) != len(predicted) + 1:
         raise ValueError("filter run must store beliefs (k|k) for k=0..N and (k|k-1) for k=1..N")
-    gains, covs = _smoother_covariances(system.A, [b.cov for b in filtered.updated],
-                                        [b.cov for b in filtered.predicted])
-    means = _smoother_means(gains, np.array([b.mean for b in filtered.updated]),
-                            np.array([b.mean for b in filtered.predicted]))
-    return EstimatorRun(
-        predicted=list(filtered.predicted),
-        updated=list(filtered.updated),
-        smoothed=[Belief(mean=means[k], cov=covs[k], tag=(k, N)) for k in range(N + 1)],
-        gains=list(gains),
-        innovations=list(filtered.innovations),
-    )
+    gains, covs = _smoother_covariances(system.A, updated.covs, predicted.covs)
+    means = _smoother_means(gains, updated.means, predicted.means)
+    return EstimatorRun(predicted, updated, BeliefSequence(means, covs, 0, None), gains,
+                        filtered.innovations)
 
 
 def solve_dare_estimator(A: np.ndarray, C: np.ndarray, Qd: np.ndarray, Rv: np.ndarray,

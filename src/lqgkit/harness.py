@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._linalg import matvec, psd_factor
-from .estimation import EstimatorRun, _EstimatorPlan, _smoother_means
+from .estimation import EstimatorRun, _EstimatorPlan, _MeanPass
 from .lqr import (
     RiccatiSolution,
     SettlingReport,
@@ -106,7 +106,7 @@ class MonteCarloResult:
     (S, N, p) when an estimator runs, costs (S,) when the scenario has
     weights, and settling reports under an `lqr` controller.  covariances
     (N+1, n, n), aligned with the states, is the estimator's and is the
-    same for every seed.
+    same for every seed; a fixed-gain observer computes none (None).
     """
 
     seeds: list[int]
@@ -219,7 +219,6 @@ class _Plan:
     x0_factor: np.ndarray | None
     d_factors: list[np.ndarray] | None
     v_factors: list[np.ndarray] | None
-    covariance_diagonals: np.ndarray | None
 
 
 def _violations(s: Scenario) -> list[str]:
@@ -240,12 +239,10 @@ def _plan(s: Scenario, tol: float, max_iter: int) -> _Plan:
         d_factors = _factors(s.sim_Qd if s.sim_Qd is not None else noise.Qd)
         if s.system.p > 0:
             v_factors = _factors(s.sim_Rv if s.sim_Rv is not None else noise.Rv)
-    estimator = cov_diag = None
+    estimator = None
     if s.estimator != "none":
         estimator = _EstimatorPlan(s.estimator, s.system, noise, s.luenberger_gain)
-        if s.estimator != "luenberger":
-            cov_diag = np.array([np.diag(P) for P in estimator.reported])
-    return _Plan(s, gains, riccati, estimator, x0_factor, d_factors, v_factors, cov_diag)
+    return _Plan(s, gains, riccati, estimator, x0_factor, d_factors, v_factors)
 
 
 def _noise(factors: list[np.ndarray], z: np.ndarray) -> np.ndarray:
@@ -254,21 +251,19 @@ def _noise(factors: list[np.ndarray], z: np.ndarray) -> np.ndarray:
     return np.stack([matvec(F, z[:, k]) for k, F in enumerate(factors)], axis=1)
 
 
-def _simulate(plan: _Plan, seeds: list[int]
-              ) -> tuple[MonteCarloResult, np.ndarray | None, np.ndarray | None]:
+def _simulate(plan: _Plan, seeds: list[int]) -> tuple[MonteCarloResult, _MeanPass | None]:
     """Draw each seed's noise, then move every seed's true state and
     estimate means together, one stacked product per matrix and step.
 
-    Returns the stacked runs with, under an estimator, its means (S, N+1,
-    n; x_0 first) and, on the filter convention, its predicted means
-    (S, N, n).
+    Returns the stacked runs with, under an estimator, its mean pass.
     """
     s, est = plan.scenario, plan.estimator
     system, noise = s.system, s.noise
     n, m, p, N, S = system.n, system.m, system.p, system.N, len(seeds)
     A, B = list(system.A), list(system.B)
     measuring = p > 0 and noise is not None
-    filter_convention = s.estimator in ("filter", "smoother")
+    mean_pass = _MeanPass(est, S) if est is not None else None
+    filter_convention = est is not None and not est.predictor_convention
 
     counts = (n, p) if measuring else (n,) if noise is not None else ()
     heads, z = _predraw([GaussianStream(seed) for seed in seeds],
@@ -285,51 +280,31 @@ def _simulate(plan: _Plan, seeds: list[int]
     states = np.empty((S, N + 1, n))
     inputs = np.empty((S, N, m))
     outputs = np.empty((S, N, p)) if measuring else None
-    means = predicted_means = innovations = mean = None
-    if est is not None:
-        means = np.empty((S, N + 1, n))
-        innovations = np.empty((S, N, p))
-        if filter_convention:
-            predicted_means = np.empty((S, N, n))
-        means[:, 0] = mean = np.tile(est.x0_mean, (S, 1))
     states[:, 0] = x
     zero_u = np.zeros((S, m))
-
-    def measure(k, x, u, mean):
-        y = matvec(system.C[k], x) + v[:, k]
-        outputs[:, k] = y
-        if est is None:
-            return None
-        mean, innovations[:, k], predicted = est.step(k, mean, u, y)
-        means[:, k + 1] = mean
-        if predicted is not None:
-            predicted_means[:, k] = predicted
-        return mean
-
     for k in range(N):
         if plan.gains is None:
             u = zero_u
         else:
-            u = -matvec(plan.gains[k], mean if s.feedback == "estimate" else x)
+            u = -matvec(plan.gains[k], mean_pass.means[:, k] if s.feedback == "estimate" else x)
         inputs[:, k] = u
-        if measuring and not filter_convention:
-            mean = measure(k, x, u, mean)      # measurement at time k
-        x = matvec(A[k], x) + matvec(B[k], u) + d[:, k]
-        states[:, k + 1] = x
-        if measuring and filter_convention:
-            mean = measure(k, x, u, mean)      # measurement at time k+1
+        x_next = matvec(A[k], x) + matvec(B[k], u) + d[:, k]
+        if measuring:
+            # measurement k is taken at time k+1 on the filter convention, else at time k
+            outputs[:, k] = y = matvec(system.C[k], x_next if filter_convention else x) + v[:, k]
+            if mean_pass is not None:
+                mean_pass.step(k, u, y)
+        states[:, k + 1] = x = x_next
 
-    estimates = means
-    if est is not None and est.kind == "smoother":
-        estimates = _smoother_means(est.smoother_gains, means, predicted_means)
     result = MonteCarloResult(
-        seeds=list(seeds), states=states, inputs=inputs, outputs=outputs, estimates=estimates,
-        innovations=innovations,
+        seeds=list(seeds), states=states, inputs=inputs, outputs=outputs,
+        estimates=mean_pass.finish() if mean_pass is not None else None,
+        innovations=mean_pass.innovations if mean_pass is not None else None,
         costs=_costs(states, inputs, s.weights) if s.weights is not None else None,
         settling=_settling_reports(plan.riccati, states) if plan.riccati is not None else None,
         covariances=est.reported if est is not None else None,
     )
-    return result, means, predicted_means
+    return result, mean_pass
 
 
 def run(scenario: Scenario, tol: float = 1e-10, max_iter: int = 100_000) -> RunResult:
@@ -341,27 +316,25 @@ def run(scenario: Scenario, tol: float = 1e-10, max_iter: int = 100_000) -> RunR
     case of `monte_carlo`.
     """
     plan = _plan(scenario, tol, max_iter)
-    runs, means, predicted_means = _simulate(plan, [scenario.seed])
-    est, est_run = plan.estimator, None
+    runs, mean_pass = _simulate(plan, [scenario.seed])
     trajectory = Trajectory(
         states=runs.states[0], inputs=runs.inputs[0],
         outputs=runs.outputs[0] if runs.outputs is not None else None,
+        estimates=runs.estimates[0] if runs.estimates is not None else None,
         covariances=runs.covariances,
         cost=float(runs.costs[0]) if runs.costs is not None else None,
     )
-    if est is not None:
-        est_run = est.estimator_run(
-            means[0], predicted_means[0] if predicted_means is not None else None,
-            runs.innovations[0], runs.estimates[0])
-        trajectory.estimates = runs.estimates[0]
+    cov_diag = None
+    if runs.covariances is not None:
+        cov_diag = np.diagonal(runs.covariances, axis1=1, axis2=2).copy()
     return RunResult(
         trajectory=trajectory,
-        estimator_run=est_run,
+        estimator_run=mean_pass.run(0) if mean_pass is not None else None,
         controller_gains=plan.gains,
         riccati=plan.riccati,
         cost=trajectory.cost,
         settling=runs.settling[0] if runs.settling is not None else None,
-        covariance_diagonals=plan.covariance_diagonals,
+        covariance_diagonals=cov_diag,
     )
 
 
@@ -474,8 +447,8 @@ def _points(plan: _Plan, seeds: list[int], values: list) -> list[SweepPoint]:
     """The sweep points of one stacked pass of `plan` over seeds."""
     runs = _simulate(plan, seeds)[0]
     terminal_trace = None
-    if plan.covariance_diagonals is not None:
-        terminal_trace = float(plan.covariance_diagonals[-1].sum())
+    if runs.covariances is not None:
+        terminal_trace = float(np.diag(runs.covariances[-1]).sum())
     settling = runs.settling or [None] * len(seeds)
     costs = runs.costs if runs.costs is not None else [None] * len(seeds)
     return [SweepPoint(value=value, cost=float(cost) if cost is not None else None,

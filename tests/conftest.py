@@ -24,6 +24,12 @@ def bench_weights(N):
     return LqrWeights.constant(np.eye(2), 1.0, horizon=N)
 
 
+def same(a, b) -> bool:
+    """Equal shapes and bytes: equal values, sign of zero included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def bench_noise(N, Qd=None, Rv=None, P0=None):
     return NoiseModel.constant(
         np.eye(2) if Qd is None else Qd,

@@ -11,6 +11,7 @@ from conftest import (
     X0_BENCH,
     bench_noise,
     bench_system,
+    same,
 )
 from lqgkit import (
     Belief,
@@ -300,6 +301,74 @@ class TestFilterRun:
         assert [b.tag for b in run.predicted] == [(k, k - 1) for k in range(1, N + 1)]
         assert len(run.gains) == N and run.gains[0].shape == (2, 1)
         assert len(run.innovations) == N
+
+    def test_matches_stepwise_composition(self):
+        N = 12
+        system = bench_system(N, with_output=True)
+        noise = bench_noise(N)
+        _, inputs, measurements = simulate_measured(system, noise, K_STEADY,
+                                                    GaussianStream(19), "filter")
+        run = filter_run(system, noise, inputs, measurements)
+        belief = Belief(mean=noise.x0_mean, cov=noise.P0, tag=(0, 0))
+        for k in range(N):
+            predicted = filter_predict(system.A[k], system.B[k], noise.Qd[k], belief, inputs[k])
+            belief, L = filter_update(system.C[k], noise.Rv[k], predicted, measurements[k])
+            for got, want in ((run.predicted[k], predicted), (run.updated[k + 1], belief)):
+                assert got.tag == want.tag
+                assert same(got.mean, want.mean) and same(got.cov, want.cov)
+            assert same(run.gains[k], L)
+            assert same(run.innovations[k], measurements[k] - system.C[k] @ predicted.mean)
+
+
+@pytest.mark.parametrize("estimator", [filter_run, predictor_run])
+@pytest.mark.parametrize("inputs, measurements, message", [
+    (np.zeros(5), np.zeros((5, 1)), r"inputs must have shape \(N, m\) = \(5, 1\), got \(5,\)"),
+    (np.zeros((5, 1)), np.zeros((5, 2)),
+     r"measurements must have shape \(N, p\) = \(5, 1\), got \(5, 2\)"),
+], ids=["1-D inputs", "wide measurements"])
+def test_recorded_shapes_checked(estimator, inputs, measurements, message):
+    with pytest.raises(ValueError, match=message):
+        estimator(bench_system(5, with_output=True), bench_noise(5), inputs, measurements)
+
+
+class TestBeliefSequence:
+    """A run's beliefs read from its stacked arrays as a read-only list would."""
+
+    def test_filter_run_reads_like_a_list(self):
+        N = 4
+        run = filter_run(bench_system(N, with_output=True), bench_noise(N),
+                         np.zeros((N, 1)), np.ones((N, 1)))
+        updated, predicted = run.updated, run.predicted
+        assert len(updated) == N + 1 and len(predicted) == N
+        assert updated.means.shape == (N + 1, 2) and updated.covs.shape == (N + 1, 2, 2)
+        assert predicted.means.shape == (N, 2) and predicted.covs.shape == (N, 2, 2)
+        for k, belief in enumerate(updated):
+            assert belief.tag == (k, k)
+            assert same(belief.mean, updated.means[k]) and same(belief.cov, updated.covs[k])
+        assert updated[-1].tag == (N, N) and same(updated[-2].mean, updated.means[N - 1])
+        assert predicted[0].tag == (1, 0) and predicted[-1].tag == (N, N - 1)
+        for i in (N + 1, -(N + 2)):
+            with pytest.raises(IndexError):
+                updated[i]
+        assert [b.tag for b in updated[1:4:2]] == [(1, 1), (3, 3)]
+        assert [b.tag for b in predicted[::-1]] == [(k, k - 1) for k in range(N, 0, -1)]
+        assert updated[N + 1:] == []
+        with pytest.raises(TypeError):
+            updated[0] = updated[1]
+        assert isinstance(run.gains, np.ndarray) and run.gains.shape == (N, 2, 1)
+        assert isinstance(run.innovations, np.ndarray) and run.innovations.shape == (N, 1)
+
+    def test_predictor_and_smoother_tags(self):
+        N = 5
+        system, noise = bench_system(N, with_output=True), bench_noise(N)
+        run = predictor_run(system, noise, np.zeros((N, 1)), np.ones((N, 1)))
+        assert len(run.updated) == 0 and list(run.updated) == [] and run.smoothed is None
+        assert run.predicted[0].tag == (0, -1) and run.predicted[-1].tag == (N, N - 1)
+        smoothed = smoother_run(system, noise,
+                                filter_run(system, noise, np.zeros((N, 1)), np.ones((N, 1))))
+        assert len(smoothed.smoothed) == N + 1
+        assert smoothed.smoothed[-1].tag == (N, N) and smoothed.smoothed[-3].tag == (N - 2, N)
+        assert [b.tag for b in smoothed.smoothed[:2]] == [(0, N), (1, N)]
 
 
 class TestPredictorRun:

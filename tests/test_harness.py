@@ -13,6 +13,7 @@ from conftest import (
     bench_noise,
     bench_system,
     bench_weights,
+    same,
 )
 from lqgkit import (
     LtvSystem,
@@ -20,7 +21,10 @@ from lqgkit import (
     SweepPoint,
     ValidationError,
     evaluate_cost,
+    filter_run,
+    monte_carlo,
     run,
+    smoother_run,
     step_deterministic,
     sweep,
 )
@@ -141,6 +145,37 @@ class TestRun:
         err_end = np.linalg.norm(result.trajectory.states[-1] - result.trajectory.estimates[-1])
         assert err_end < max(err0, 1.0)
         assert result.covariance_diagonals is None
+
+    def test_luenberger_has_no_covariance(self):
+        # a fixed-gain observer computes no covariance, so none is reported
+        # (an all-zero one would make NEES or NIS divide by zero)
+        N = 10
+        scenario = replace(fig4_scenario(N=N), estimator="luenberger",
+                           luenberger_gain=[[0.0], [2.5]])
+        result = run(scenario)
+        assert result.trajectory.covariances is None and result.covariance_diagonals is None
+        est = result.estimator_run
+        assert est.predicted.covs is None and est.predicted[-1].cov is None
+        assert same(est.predicted.means, result.trajectory.estimates)
+        assert est.gains.shape == (N, 2, 1) and est.innovations.shape == (N, 1)
+        assert monte_carlo(scenario, [0, 1]).covariances is None
+
+    def test_smoother_run_equals_the_runs_smoother(self):
+        # the library passes over a run's recorded inputs and outputs equal
+        # the run's own smoother bit for bit
+        scenario = fig4_scenario(estimator="smoother", seed=8)
+        result = run(scenario)
+        traj = result.trajectory
+        filtered = filter_run(scenario.system, scenario.noise, traj.inputs, traj.outputs)
+        smoothed = smoother_run(scenario.system, scenario.noise, filtered)
+        est = result.estimator_run
+        for which in ("predicted", "updated", "smoothed"):
+            got, want = getattr(smoothed, which), getattr(est, which)
+            assert same(got.means, want.means) and same(got.covs, want.covs)
+            assert [b.tag for b in got] == [b.tag for b in want]
+        assert same(smoothed.gains, est.gains) and same(smoothed.innovations, est.innovations)
+        assert est.smoothed.covs is traj.covariances
+        assert same(est.smoothed.means, traj.estimates)
 
     def test_settling_only_for_lqr_schedule(self):
         assert run(fig1_scenario(50)).settling is not None
