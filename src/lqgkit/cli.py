@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from ._linalg import ConvergenceError
-from .harness import RunResult, Scenario, _violations, run, sweep
-from .lqr import _stabilizability_report, solve_dare_lqr, solve_lqr
+from .harness import RunResult, Scenario, _steady_violations, _violations, run, sweep
+from .lqr import solve_dare_lqr, solve_lqr
 from .model import ValidationError, validate
 from .scenario import ScenarioError, load_scenario
 
@@ -43,18 +43,32 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _vec_headers(prefix: str, count: int) -> list[str]:
-    return [f"{prefix}_{i + 1}" for i in range(count)]
+def _block(prefix: str, values, first: int = 0):
+    """A column block of rows first.. from values (L,), (L, c) or (L, r, c),
+    headed prefix, prefix_i or prefix_i_j (1-based)."""
+    values = np.asarray(values)
+    headers = [prefix + "".join(f"_{i + 1}" for i in index)
+               for index in np.ndindex(values.shape[1:])]
+    return headers, values.reshape(len(values), -1), first
 
 
-def _mat_headers(prefix: str, rows: int, cols: int) -> list[str]:
-    return [f"{prefix}_{i + 1}_{j + 1}" for i in range(rows) for j in range(cols)]
+def _diagonals(covs) -> np.ndarray:
+    return np.diagonal(np.asarray(covs), axis1=1, axis2=2)
 
 
-def _cells(vec_or_none, count: int) -> list:
-    if vec_or_none is None:
-        return [None] * count
-    return list(np.asarray(vec_or_none).reshape(-1))
+def _write_table(path: Path, blocks) -> None:
+    """Write column blocks (headers, (L, c) values, first row) side by side.
+
+    Each block fills rows first..first+L-1 and leaves its other cells empty.
+    """
+    height = max(first + len(values) for _, values, first in blocks)
+    header, columns = [], []
+    for headers, values, first in blocks:
+        column = [[None] * len(headers)] * height
+        column[first:first + len(values)] = values.tolist()
+        header += headers
+        columns.append(column)
+    _write_csv(path, header, ([cell for part in row for cell in part] for row in zip(*columns)))
 
 
 def _load(args) -> Scenario:
@@ -74,26 +88,22 @@ def _cmd_lqr(args) -> int:
     scenario = _load(args)
     if scenario.weights is None:
         raise ValidationError(["lqr subcommand requires a weights section"])
-    report = validate(scenario.system, scenario.weights, scenario.noise)
+    system, weights = scenario.system, scenario.weights
+    report = validate(system, weights, scenario.noise)
+    if args.steady:
+        report += _steady_violations(system, weights)
     if report:
         raise ValidationError(report)
-    system, weights = scenario.system, scenario.weights
     outdir = Path(args.output)
 
     if args.steady:
-        if not all(s.is_constant for s in (system.A, system.B, weights.Q, weights.R)):
-            raise ValidationError(["--steady requires constant A, B, Q, R schedules"])
-        report = _stabilizability_report(system.A[0], system.B[0])
-        if report:
-            raise ValidationError(report)
         ss = solve_dare_lqr(system.A[0], system.B[0], weights.Q[0], weights.R[0],
                             tol=args.tol, max_iter=args.max_iter)
-        header = (_mat_headers("K", system.m, system.n) + _vec_headers("Pdiag", system.n)
-                  + ["iterations", "residual", "spectral_radius"])
-        row = (_cells(ss.K, system.m * system.n) + _cells(np.diag(ss.P), system.n)
-               + [ss.iterations, ss.residual, ss.closed_loop_spectral_radius])
         path = outdir / f"{_stem(args)}_lqr_steady.csv"
-        _write_csv(path, header, [row])
+        _write_table(path, [_block("K", ss.K[None]), _block("Pdiag", np.diag(ss.P)[None]),
+                            _block("iterations", [ss.iterations]),
+                            _block("residual", [ss.residual]),
+                            _block("spectral_radius", [ss.closed_loop_spectral_radius])])
         k_str = ", ".join(_fmt(v) for v in ss.K.reshape(-1))
         print(f"steady-state gain K = [{k_str}] "
               f"(iterations {ss.iterations}, residual {ss.residual:.3g})")
@@ -102,59 +112,28 @@ def _cmd_lqr(args) -> int:
         return 0
 
     solution = solve_lqr(system, weights)
-    N = system.N
-    header = ["k"] + _mat_headers("K", system.m, system.n) + _vec_headers("Pdiag", system.n)
-    rows = []
-    for k in range(N + 1):
-        gain = solution.K[k] if k < N else None
-        rows.append([k] + _cells(gain, system.m * system.n)
-                    + _cells(np.diag(solution.P[k]), system.n))
     path = outdir / f"{_stem(args)}_lqr.csv"
-    _write_csv(path, header, rows)
+    _write_table(path, [_block("k", np.arange(system.N + 1)), _block("K", list(solution.K)),
+                        _block("Pdiag", _diagonals(list(solution.P)))])
     x0 = scenario.x0 if scenario.x0 is not None else (
         scenario.noise.x0_mean if scenario.noise is not None else None)
     if x0 is not None:
-        print(f"J* = {solution.optimal_cost(x0):.2f} over N={N} steps")
+        print(f"J* = {solution.optimal_cost(x0):.2f} over N={system.N} steps")
     print(f"wrote {path}")
     return 0
 
 
-def _estimator_csv(result: RunResult, scenario: Scenario, mode: str, path: Path) -> None:
-    system = scenario.system
-    n, p, N = system.n, system.p, system.N
+def _estimator_csv(result: RunResult, mode: str, path: Path) -> None:
     est = result.estimator_run
-    traj = result.trajectory
+    beliefs = {"predict": est.predicted, "filter": est.updated, "smooth": est.smoothed}[mode]
+    measured = est.predicted.first      # the time of the first measurement
+    blocks = [_block("k", np.arange(len(beliefs))), _block("x", result.trajectory.states),
+              _block("xhat", beliefs.means), _block("Pdiag", _diagonals(beliefs.covs))]
     if mode == "smooth":
-        header = (["k"] + _vec_headers("x", n) + _vec_headers("xhat", n)
-                  + _vec_headers("Pdiag", n) + _vec_headers("Pfiltdiag", n)
-                  + _mat_headers("Ls", n, n) + _vec_headers("innov", p))
-        rows = []
-        for k in range(N + 1):
-            gain = est.gains[k] if k < N else None
-            innov = est.innovations[k - 1] if k >= 1 else None
-            rows.append([k] + _cells(traj.states[k], n)
-                        + _cells(est.smoothed[k].mean, n)
-                        + _cells(np.diag(est.smoothed[k].cov), n)
-                        + _cells(np.diag(est.updated[k].cov), n)
-                        + _cells(gain, n * n) + _cells(innov, p))
+        blocks += [_block("Pfiltdiag", _diagonals(est.updated.covs)), _block("Ls", est.gains)]
     else:
-        header = (["k"] + _vec_headers("x", n) + _vec_headers("xhat", n)
-                  + _vec_headers("Pdiag", n) + _mat_headers("L", n, p)
-                  + _vec_headers("innov", p))
-        beliefs = est.updated if mode == "filter" else est.predicted
-        rows = []
-        for k in range(N + 1):
-            if mode == "filter":
-                gain = est.gains[k - 1] if k >= 1 else None
-                innov = est.innovations[k - 1] if k >= 1 else None
-            else:
-                gain = est.gains[k] if k < N else None
-                innov = est.innovations[k] if k < N else None
-            rows.append([k] + _cells(traj.states[k], n)
-                        + _cells(beliefs[k].mean, n)
-                        + _cells(np.diag(beliefs[k].cov), n)
-                        + _cells(gain, n * p) + _cells(innov, p))
-    _write_csv(path, header, rows)
+        blocks.append(_block("L", est.gains, measured))
+    _write_table(path, blocks + [_block("innov", est.innovations, measured)])
 
 
 def _cmd_estimate(args) -> int:
@@ -162,7 +141,7 @@ def _cmd_estimate(args) -> int:
     scenario = replace(scenario, estimator=_MODE_TO_ESTIMATOR[args.mode])
     result = run(scenario, tol=args.tol, max_iter=args.max_iter)
     path = Path(args.output) / f"{_stem(args)}_{args.mode}.csv"
-    _estimator_csv(result, scenario, args.mode, path)
+    _estimator_csv(result, args.mode, path)
     trace = result.covariance_diagonals[-1].sum()
     print(f"{scenario.estimator} over N={scenario.system.N} steps, seed {scenario.seed}: "
           f"terminal covariance trace {trace:.6g}")
@@ -171,35 +150,19 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scenario = _load(args)
-    result = run(scenario, tol=args.tol, max_iter=args.max_iter)
-    system = scenario.system
-    n, m, p, N = system.n, system.m, system.p, system.N
-    traj = result.trajectory
-    header = ["k"] + _vec_headers("x", n) + _vec_headers("u", m)
-    has_outputs = traj.outputs is not None
-    filter_convention = scenario.estimator in ("filter", "smoother")
-    if has_outputs:
-        header += _vec_headers("y", p)
-    has_estimates = traj.estimates is not None
-    if has_estimates:
-        header += _vec_headers("xhat", n)
-        if result.covariance_diagonals is not None:
-            header += _vec_headers("Pdiag", n)
-    rows = []
-    for k in range(N + 1):
-        row = [k] + _cells(traj.states[k], n)
-        row += _cells(traj.inputs[k] if k < N else None, m)
-        if has_outputs:
-            j = k - 1 if filter_convention else k
-            row += _cells(traj.outputs[j] if 0 <= j < N else None, p)
-        if has_estimates:
-            row += _cells(traj.estimates[k], n)
-            if result.covariance_diagonals is not None:
-                row += _cells(result.covariance_diagonals[k], n)
-        rows.append(row)
+    result = run(_load(args), tol=args.tol, max_iter=args.max_iter)
+    traj, est = result.trajectory, result.estimator_run
+    blocks = [_block("k", np.arange(len(traj.states))), _block("x", traj.states),
+              _block("u", traj.inputs)]
+    if traj.outputs is not None:
+        # measurement j belongs to time j + first: 1 on the filter convention, else 0
+        blocks.append(_block("y", traj.outputs, est.predicted.first if est is not None else 0))
+    if traj.estimates is not None:
+        blocks.append(_block("xhat", traj.estimates))
+    if result.covariance_diagonals is not None:
+        blocks.append(_block("Pdiag", result.covariance_diagonals))
     path = Path(args.output) / f"{_stem(args)}_run.csv"
-    _write_csv(path, header, rows)
+    _write_table(path, blocks)
     if result.cost is not None:
         print(f"cost = {result.cost:.2f}")
     if result.settling is not None:
@@ -220,7 +183,7 @@ def _cmd_sweep(args) -> int:
     path = Path(args.output) / f"{_stem(args)}_sweep_{args.axis}.csv"
     _write_csv(path, header, rows)
     for pt in points:
-        print(f"{args.axis}={float(pt.value):g}: cost={_fmt(pt.cost)} k_x={pt.k_x} k_K={pt.k_K} "
+        print(f"{args.axis}={_fmt(pt.value)}: cost={_fmt(pt.cost)} k_x={pt.k_x} k_K={pt.k_K} "
               f"terminal_cov_trace={_fmt(pt.terminal_covariance_trace)}")
     print(f"wrote {path}")
     return 0
@@ -238,7 +201,6 @@ def _reproduce_fig1(args) -> int:
     if args.seed is not None:
         base = replace(base, seed=args.seed)
     outdir = Path(args.output)
-    system = base.system
     costs = {}
     for N in (5, 50):
         scn = _with_horizon(base, N)
@@ -247,21 +209,12 @@ def _reproduce_fig1(args) -> int:
                          tol=args.tol, max_iter=args.max_iter)
             costs[(N, label)] = result.cost
             traj = result.trajectory
-            header = (["k"] + _vec_headers("x", system.n) + _vec_headers("u", system.m)
-                      + _mat_headers("K", system.m, system.n))
-            if controller == "lqr":
-                header += _vec_headers("Pdiag", system.n)
-            rows = []
-            for k in range(N + 1):
-                gain = result.controller_gains[k] if k < N else None
-                row = ([k] + _cells(traj.states[k], system.n)
-                       + _cells(traj.inputs[k] if k < N else None, system.m)
-                       + _cells(gain, system.m * system.n))
-                if controller == "lqr":
-                    row += _cells(np.diag(result.riccati.P[k]), system.n)
-                rows.append(row)
+            blocks = [_block("k", np.arange(N + 1)), _block("x", traj.states),
+                      _block("u", traj.inputs), _block("K", list(result.controller_gains))]
+            if result.riccati is not None:
+                blocks.append(_block("Pdiag", _diagonals(list(result.riccati.P))))
             path = outdir / f"fig1_n{N}_{label}.csv"
-            _write_csv(path, header, rows)
+            _write_table(path, blocks)
             print(f"wrote {path}")
     print("cost comparison (optimal schedule vs converged steady gain):")
     for N in (5, 50):
@@ -275,12 +228,10 @@ def _reproduce_fig4(args) -> int:
     if args.seed is not None:
         base = replace(base, seed=args.seed)
     outdir = Path(args.output)
-    for mode, estimator in (("predict", "predictor"), ("filter", "filter"),
-                            ("smooth", "smoother")):
-        scenario = replace(base, estimator=estimator)
-        result = run(scenario, tol=args.tol, max_iter=args.max_iter)
+    for mode, estimator in _MODE_TO_ESTIMATOR.items():
+        result = run(replace(base, estimator=estimator), tol=args.tol, max_iter=args.max_iter)
         path = outdir / f"fig4_{estimator}.csv"
-        _estimator_csv(result, scenario, mode, path)
+        _estimator_csv(result, mode, path)
         trace = result.covariance_diagonals[-1].sum()
         print(f"{estimator}: terminal covariance trace {trace:.6g} -> {path}")
     print(f"seed {base.seed if args.seed is None else args.seed}; "

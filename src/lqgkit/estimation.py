@@ -49,7 +49,7 @@ class BeliefSequence(Sequence):
     def __init__(self, means: np.ndarray, covs: np.ndarray | None, first: int,
                  lag: int | None):
         self.means, self.covs = means, covs
-        self._first, self._lag = first, lag
+        self.first, self._lag = first, lag
 
     def __len__(self) -> int:
         return len(self.means)
@@ -58,8 +58,8 @@ class BeliefSequence(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]     # negative indices; IndexError past either end
-        k = self._first + i
-        given = self._first + len(self) - 1 if self._lag is None else k + self._lag
+        k = self.first + i
+        given = self.first + len(self) - 1 if self._lag is None else k + self._lag
         return Belief(self.means[i], None if self.covs is None else self.covs[i], (k, given))
 
 
@@ -72,7 +72,8 @@ class EstimatorRun:
     for them; a predictor-convention run fills `predicted` (including the
     initial belief) and leaves `updated` empty.  `gains` (N, n, p) are the
     Kalman or observer gains, or the (N, n, n) smoother gains on a smoother
-    run; `innovations` is (N, p).
+    run; `innovations` is (N, p).  Measurement j, its Kalman or observer
+    gain and its innovation belong to time `predicted.first + j`.
     """
 
     predicted: BeliefSequence

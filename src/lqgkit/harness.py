@@ -46,6 +46,8 @@ from .stochastic import GaussianStream, _predraw
 
 CONTROLLERS = ("none", "fixed", "lqr", "steady")
 ESTIMATORS = ("none", "luenberger", "predictor", "filter", "smoother")
+# the estimators whose estimate at time k uses no later measurement
+CAUSAL_ESTIMATORS = ("luenberger", "predictor", "filter")
 FEEDBACK = ("true_state", "estimate")
 
 
@@ -148,13 +150,20 @@ def _config_violations(s: Scenario) -> list[str]:
             problems.append(f"estimator '{s.estimator}' requires a measurement matrix C")
     if s.estimator == "luenberger" and s.luenberger_gain is None:
         problems.append("estimator 'luenberger' requires luenberger_gain")
-    if s.feedback == "estimate" and s.estimator in ("none", "smoother"):
+    if (s.feedback == "estimate" and s.estimator in ESTIMATORS
+            and s.estimator not in CAUSAL_ESTIMATORS):
         problems.append("feedback on the estimate requires a causal estimator "
                         "(luenberger, predictor, or filter)")
     if s.x0 is None and s.noise is None:
         problems.append("sampled x0 requires a noise model (x0_mean, P0)")
-    if s.x0 is not None and s.x0.shape != (s.system.n,):
-        problems.append(f"x0 has shape {s.x0.shape}, expected ({s.system.n},)")
+    n, m, p, N = s.system.n, s.system.m, s.system.p, s.system.N
+    # like sim_Rv, the observer gain is checked only where there are measurements
+    shaped = [(s.x0, "x0", (n,)), (s.fixed_gain, "fixed_gain", (m, n))]
+    if p:
+        shaped.append((s.luenberger_gain, "luenberger_gain", (n, p)))
+    for value, name, shape in shaped:
+        if value is not None and value.shape != shape:
+            problems.append(f"{name} has shape {value.shape}, expected {shape}")
     for value, name in ((s.x0, "x0"), (s.fixed_gain, "fixed_gain"),
                         (s.luenberger_gain, "luenberger_gain"), (s.sim_Qd, "sim_Qd"),
                         (s.sim_Rv, "sim_Rv")):
@@ -163,19 +172,23 @@ def _config_violations(s: Scenario) -> list[str]:
         problems.append(f"x0_std is not finite, got {s.x0_std}")
     if s.seed < 0:
         problems.append(f"seed must be non-negative, got {s.seed}")
-    n, p, N = s.system.n, s.system.p, s.system.N
     _check_dims(problems, s.sim_Qd, "sim_Qd", (n, n), N)
     if p:
         _check_dims(problems, s.sim_Rv, "sim_Rv", (p, p), N)
     if s.controller == "steady":
-        consts = [s.system.A.is_constant, s.system.B.is_constant]
-        if s.weights is not None:
-            consts += [s.weights.Q.is_constant, s.weights.R.is_constant]
-        if not all(consts):
-            problems.append("controller 'steady' requires constant A, B, Q, R")
-        elif _checkable(s.system.A, (n, n)) and _checkable(s.system.B, (n, s.system.m)):
-            problems += _stabilizability_report(s.system.A[0], s.system.B[0])
+        problems += _steady_violations(s.system, s.weights)
     return problems
+
+
+def _steady_violations(system: LtvSystem, weights: LqrWeights | None) -> list[str]:
+    """What steady-state LQR synthesis needs beyond `validate`: constant
+    A, B, Q, R and, when A and B are well formed, a stabilizable (A, B)."""
+    schedules = [system.A, system.B] + ([weights.Q, weights.R] if weights is not None else [])
+    if not all(sched.is_constant for sched in schedules):
+        return ["controller 'steady' requires constant A, B, Q, R"]
+    if _checkable(system.A, (system.n, system.n)) and _checkable(system.B, (system.n, system.m)):
+        return _stabilizability_report(system.A[0], system.B[0])
+    return []
 
 
 def _checkable(sched: MatrixSchedule, shape: tuple[int, int]) -> bool:

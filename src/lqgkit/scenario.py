@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import yaml
 
-from .harness import CONTROLLERS, ESTIMATORS, FEEDBACK, Scenario
+from .harness import CAUSAL_ESTIMATORS, CONTROLLERS, ESTIMATORS, FEEDBACK, Scenario
 from .model import LqrWeights, LtvSystem, MatrixSchedule, NoiseModel
 
 
@@ -164,7 +164,7 @@ def parse_scenario(text: str) -> Scenario:
     feedback = run_sec.get("feedback")
     if feedback is None:
         # LQG default: feed back the causal estimate when one is configured.
-        causal = estimator in ("luenberger", "predictor", "filter")
+        causal = estimator in CAUSAL_ESTIMATORS
         feedback = "estimate" if (controller != "none" and causal) else "true_state"
     if feedback not in FEEDBACK:
         _fail("run.feedback", f"must be one of {', '.join(FEEDBACK)}, got {feedback!r}")

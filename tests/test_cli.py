@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lqgkit import load_scenario, run
-from lqgkit.cli import main
+from lqgkit.cli import _block, _write_table, main
 
 FIG1 = """
 system:
@@ -213,9 +213,20 @@ class TestSweepCommand:
         _, rows = read_csv(tmp_path / "fig4_sweep_seed.csv")
         expected = run(replace(load_scenario(fig4_file), seed=seed)).cost
         assert rows[0][1] == f"{expected:.12g}"
-        # the value column and stdout keep the 12-digit float rendering
+        # the value column keeps the 12-digit float rendering; stdout names the seed
         assert rows[0][0] == "9.00719925474e+15"
-        assert "seed=9.0072e+15: cost=" in capsys.readouterr().out
+        assert "seed=9007199254740993: cost=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("axis, values, names", [
+        ("seed", "20260811,20260812,20260813",
+         ["seed=20260811", "seed=20260812", "seed=20260813"]),
+        ("R-scale", "1.23456789", ["R-scale=1.23456789"]),
+    ])
+    def test_stdout_names_each_value(self, fig4_file, tmp_path, capsys, axis, values, names):
+        assert main(["sweep", str(fig4_file), "--axis", axis, "--values", values,
+                     "--output", str(tmp_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(": cost=")[0] for line in out[:-1]] == names
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_non_positive_horizon_exit_2(self, fig1_file, tmp_path, capsys, value):
@@ -297,6 +308,22 @@ class TestValidateCommand:
         assert "(A, B) is not stabilizable" in err and "1.5" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("old, new, line", [
+        ("controller: steady", "controller: fixed\n  fixed_gain: [[2.0], [-2.0]]",
+         "fixed_gain has shape (2, 1), expected (1, 2)"),
+        ("estimator: filter", "estimator: luenberger\n  luenberger_gain: [[0.0, 2.5]]",
+         "luenberger_gain has shape (1, 2), expected (2, 1)"),
+    ])
+    def test_wrongly_shaped_gain_exit_2(self, command, old, new, line, tmp_path, capsys):
+        path = tmp_path / "gain.scn"
+        assert old in FIG4
+        path.write_text(FIG4.replace(old, new))
+        assert main([command, str(path), "--output", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert line in captured.err
+        assert "valid" not in captured.out and not list(tmp_path.glob("*.csv"))
+
     def test_overflowing_rank_one_weight_valid(self, tmp_path, capsys):
         # Q + Q^T overflows; the weight is still positive semidefinite
         path = tmp_path / "huge.scn"
@@ -313,6 +340,16 @@ class TestValidateCommand:
 
 
 class TestCsvFormat:
+    def test_column_blocks_fill_their_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        _write_table(path, [_block("k", np.arange(3)), _block("y", [[1.5], [2.5]], first=1),
+                            _block("K", np.arange(4.0).reshape(1, 2, 2))])
+        header, rows = read_csv(path)
+        assert header == ["k", "y_1", "K_1_1", "K_1_2", "K_2_1", "K_2_2"]
+        assert rows == [["0", "", "0", "1", "2", "3"],
+                        ["1", "1.5", "", "", "", ""],
+                        ["2", "2.5", "", "", "", ""]]
+
     def test_twelve_significant_digits(self, fig1_file, tmp_path):
         assert main(["lqr", str(fig1_file), "--output", str(tmp_path)]) == 0
         header, rows = read_csv(tmp_path / "fig1_lqr.csv")

@@ -347,6 +347,7 @@ class TestBeliefSequence:
             assert same(belief.mean, updated.means[k]) and same(belief.cov, updated.covs[k])
         assert updated[-1].tag == (N, N) and same(updated[-2].mean, updated.means[N - 1])
         assert predicted[0].tag == (1, 0) and predicted[-1].tag == (N, N - 1)
+        assert (updated.first, predicted.first) == (0, 1)
         for i in (N + 1, -(N + 2)):
             with pytest.raises(IndexError):
                 updated[i]
@@ -364,6 +365,7 @@ class TestBeliefSequence:
         run = predictor_run(system, noise, np.zeros((N, 1)), np.ones((N, 1)))
         assert len(run.updated) == 0 and list(run.updated) == [] and run.smoothed is None
         assert run.predicted[0].tag == (0, -1) and run.predicted[-1].tag == (N, N - 1)
+        assert run.predicted.first == 0
         smoothed = smoother_run(system, noise,
                                 filter_run(system, noise, np.zeros((N, 1)), np.ones((N, 1))))
         assert len(smoothed.smoothed) == N + 1

@@ -1,15 +1,21 @@
-"""Golden-output regression: results pinned before the estimator-engine refactor.
+"""Golden-output regression: results pinned before the refactors they guard.
 
 `golden.json` holds the parsed numeric content of `lqgkit reproduce fig1`,
-`lqgkit reproduce fig4`, and seed sweeps of the bundled fig4 scenario (every
+`lqgkit reproduce fig4`, seed sweeps of the bundled fig4 scenario (every
 estimator, plus estimate feedback, a Luenberger observer, a finite-horizon
-controller and an x0 drawn from N(x0_mean, P0)).  Values are compared at
-rtol 1e-12, not byte for byte, so reassociating a float sum is no false
-alarm.  The file was written by this module's `__main__` block against the
-code as it was before the refactor; regenerating it to make this test pass
-would defeat it.
+controller and an x0 drawn from N(x0_mean, P0)), and the CSVs of `lqgkit
+estimate` (each mode), `lqgkit simulate` (fig4 with a filter, a Luenberger
+observer or a predictor fed back, or no estimator) and `lqgkit lqr` (with
+and without --steady on fig1).  Values are compared at rtol 1e-12, not byte
+for byte, so reassociating a float sum is no false alarm.
 
-    PYTHONPATH=<checkout>/src python tests/test_golden.py   # rewrite golden.json
+Each entry was written by this module's `__main__` block against the code
+as it was before the refactor it guards.  The block adds only the entries
+`golden.json` lacks and prints their keys; it never rewrites a pinned
+value, since regenerating one to make this test pass would defeat it.  Run
+it against the commit before a change to pin a new case:
+
+    PYTHONPATH=<checkout>/src python tests/test_golden.py   # add missing entries
 """
 from __future__ import annotations
 
@@ -17,6 +23,7 @@ import csv
 import json
 import math
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -42,6 +49,22 @@ SWEEP_CASES = {
                             "luenberger_gain": [[0.0], [2.5]]},
     "filter_x0_from_P0": {"estimator": "filter", "x0_std": None},
 }
+# name -> (bundled scenario, {line: replacement} edits of its text, CLI command).
+CLI_CASES = {
+    "estimate_predict": ("fig4", {}, ["estimate", "--mode", "predict"]),
+    "estimate_filter": ("fig4", {}, ["estimate", "--mode", "filter"]),
+    "estimate_smooth": ("fig4", {}, ["estimate", "--mode", "smooth"]),
+    "simulate_filter": ("fig4", {}, ["simulate"]),
+    "simulate_luenberger_feedback": (
+        "fig4", {"estimator: filter": "estimator: luenberger\n  luenberger_gain: [[0.0], [2.5]]",
+                 "feedback: true_state": "feedback: estimate"}, ["simulate"]),
+    "simulate_predictor_feedback": (
+        "fig4", {"estimator: filter": "estimator: predictor",
+                 "feedback: true_state": "feedback: estimate"}, ["simulate"]),
+    "simulate_no_estimator": ("fig4", {"estimator: filter": "estimator: none"}, ["simulate"]),
+    "lqr": ("fig1", {}, ["lqr"]),
+    "lqr_steady": ("fig1", {}, ["lqr", "--steady"]),
+}
 
 
 def _parse_csv(path: Path) -> dict:
@@ -58,6 +81,21 @@ def _reproduce(figure: str, outdir: Path) -> dict:
     return {name: _parse_csv(outdir / name) for name in FIGURES[figure]}
 
 
+def _cli(case: str, outdir: Path) -> dict:
+    from lqgkit.cli import main
+
+    name, edits, command = CLI_CASES[case]
+    text = (resources.files("lqgkit") / "scenarios" / f"{name}.scn").read_text(encoding="utf-8")
+    for line, replacement in edits.items():
+        assert text.count(line) == 1, line
+        text = text.replace(line, replacement)
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / f"{name}.scn"
+    path.write_text(text, encoding="utf-8")
+    assert main([*command, str(path), "--output", str(outdir)]) == 0
+    return {csv_path.name: _parse_csv(csv_path) for csv_path in sorted(outdir.glob("*.csv"))}
+
+
 def _sweep(case: str) -> list[list]:
     from lqgkit import sweep
     from lqgkit.cli import _bundled_scenario
@@ -67,12 +105,23 @@ def _sweep(case: str) -> list[list]:
             for p in sweep(scenario, "seed", SWEEP_SEEDS)]
 
 
-def _generate(workdir: Path) -> dict:
-    return {
-        "reproduce": {fig: _reproduce(fig, workdir / fig) for fig in FIGURES},
-        "sweep_seeds": SWEEP_SEEDS,
-        "sweep": {case: _sweep(case) for case in SWEEP_CASES},
+def _add_missing(golden: dict, workdir: Path) -> list[str]:
+    """Pin every case `golden` lacks, leaving pinned ones as they are;
+    returns the keys added."""
+    golden.setdefault("sweep_seeds", SWEEP_SEEDS)
+    producers = {
+        "reproduce": (FIGURES, lambda fig: _reproduce(fig, workdir / fig)),
+        "sweep": (SWEEP_CASES, _sweep),
+        "cli": (CLI_CASES, lambda case: _cli(case, workdir / case)),
     }
+    added = []
+    for section, (cases, produce) in producers.items():
+        pinned = golden.setdefault(section, {})
+        for case in cases:
+            if case not in pinned:
+                pinned[case] = produce(case)
+                added.append(f"{section}/{case}")
+    return added
 
 
 def _assert_close(actual, golden, where: str):
@@ -107,9 +156,21 @@ def test_seed_sweep_matches_golden(case, golden):
     _assert_close(_sweep(case), golden["sweep"][case], f"sweep {case}")
 
 
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_csv_matches_golden(case, golden, tmp_path, capsys):
+    produced, pinned = _cli(case, tmp_path), golden["cli"][case]
+    assert sorted(produced) == sorted(pinned)
+    for name in pinned:
+        assert produced[name]["header"] == pinned[name]["header"], name
+        _assert_close(produced[name]["body"], pinned[name]["body"], f"{case} {name}")
+
+
 if __name__ == "__main__":
     import tempfile
 
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.write_text(json.dumps(_generate(Path(tmp)), indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN}")
+        added = _add_missing(golden, Path(tmp))
+    if added:
+        GOLDEN.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
+    print(f"added to {GOLDEN}: {', '.join(added)}" if added else f"{GOLDEN} has every case")

@@ -239,6 +239,17 @@ class TestRunValidation:
             run(replace(base, **{field: value}))
         assert f"{field} has non-finite entries (nan or inf)" in excinfo.value.violations
 
+    @pytest.mark.parametrize("field, value, line", [
+        ("fixed_gain", [[2.0], [-2.0]], "fixed_gain has shape (2, 1), expected (1, 2)"),
+        ("luenberger_gain", [[0.0, 2.5]], "luenberger_gain has shape (1, 2), expected (2, 1)"),
+    ])
+    def test_gain_shape_checked(self, field, value, line):
+        selector = ({"controller": "fixed"} if field == "fixed_gain"
+                    else {"estimator": "luenberger"})
+        with pytest.raises(ValidationError) as excinfo:
+            run(replace(fig4_scenario(), **selector, **{field: value}))
+        assert line in excinfo.value.violations
+
     def test_truth_covariance_shape_checked(self):
         scenario = replace(fig4_scenario(), sim_Qd=MatrixSchedule.constant(np.eye(3), 50))
         with pytest.raises(ValidationError) as excinfo:

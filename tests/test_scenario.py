@@ -8,6 +8,7 @@ from lqgkit import (
     scenario_to_dict,
     serialize_scenario,
 )
+from lqgkit.harness import CAUSAL_ESTIMATORS, ESTIMATORS
 
 MINIMAL = """
 system:
@@ -97,6 +98,13 @@ class TestParse:
         assert parse_scenario(text).feedback == "estimate"
         text2 = text.replace("estimator: filter", "estimator: none")
         assert parse_scenario(text2).feedback == "true_state"
+
+    def test_feedback_default_follows_causal_estimators(self):
+        text = FULL.replace("  feedback: true_state\n", "")
+        for estimator in ESTIMATORS:
+            scenario = parse_scenario(text.replace("estimator: filter", f"estimator: {estimator}"))
+            expected = "estimate" if estimator in CAUSAL_ESTIMATORS else "true_state"
+            assert scenario.feedback == expected, estimator
 
 
 class TestDiagnostics:
