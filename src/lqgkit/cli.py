@@ -257,6 +257,20 @@ def _cmd_validate(args) -> int:
 
 # -------------------------------------------------------------------- parser
 
+def _at_least(convert, least):
+    """An argparse type: a finite `convert` (float or int) of text, at least `least`."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = np.nan
+        if not least <= value < np.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be a finite {convert.__name__} >= {least}, got {text!r}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lqgkit",
@@ -266,9 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="override the scenario file's seed")
     common.add_argument("--output", default=".", help="directory for CSV output")
-    common.add_argument("--tol", type=float, default=1e-10,
+    common.add_argument("--tol", type=_at_least(float, 0), default=1e-10,
                         help="steady-state solver tolerance")
-    common.add_argument("--max-iter", type=int, default=100_000,
+    common.add_argument("--max-iter", type=_at_least(int, 1), default=100_000,
                         help="steady-state solver iteration cap")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -38,8 +38,7 @@ from .model import (
     NoiseModel,
     Trajectory,
     ValidationError,
-    _check_dims,
-    _check_finite,
+    _field_violations,
     validate,
 )
 from .stochastic import GaussianStream, _predraw
@@ -157,24 +156,19 @@ def _config_violations(s: Scenario) -> list[str]:
     if s.x0 is None and s.noise is None:
         problems.append("sampled x0 requires a noise model (x0_mean, P0)")
     n, m, p, N = s.system.n, s.system.m, s.system.p, s.system.N
-    # like sim_Rv, the observer gain is checked only where there are measurements
-    shaped = [(s.x0, "x0", (n,)), (s.fixed_gain, "fixed_gain", (m, n))]
-    if p:
-        shaped.append((s.luenberger_gain, "luenberger_gain", (n, p)))
-    for value, name, shape in shaped:
-        if value is not None and value.shape != shape:
-            problems.append(f"{name} has shape {value.shape}, expected {shape}")
-    for value, name in ((s.x0, "x0"), (s.fixed_gain, "fixed_gain"),
-                        (s.luenberger_gain, "luenberger_gain"), (s.sim_Qd, "sim_Qd"),
-                        (s.sim_Rv, "sim_Rv")):
-        _check_finite(problems, value, name)
+    # an observer gain and a truth sensor covariance are shaped only where there
+    # are measurements; a noise-free truth sensor (sim_Rv = 0) is legitimate
+    for row in ((s.x0, "x0", (n,)), (s.fixed_gain, "fixed_gain", (m, n)),
+                (s.luenberger_gain, "luenberger_gain", (n, p) if p else None),
+                (s.sim_Qd, "sim_Qd", (n, n), N, False),
+                (s.sim_Rv, "sim_Rv", (p, p) if p else None, N if p else None, False)):
+        problems += _field_violations(*row)
     if s.x0_std is not None and not np.isfinite(s.x0_std):
         problems.append(f"x0_std is not finite, got {s.x0_std}")
+    elif s.x0_std is not None and s.x0_std < 0:
+        problems.append(f"x0_std must be non-negative, got {s.x0_std}")
     if s.seed < 0:
         problems.append(f"seed must be non-negative, got {s.seed}")
-    _check_dims(problems, s.sim_Qd, "sim_Qd", (n, n), N)
-    if p:
-        _check_dims(problems, s.sim_Rv, "sim_Rv", (p, p), N)
     if s.controller == "steady":
         problems += _steady_violations(s.system, s.weights)
     return problems
@@ -186,14 +180,10 @@ def _steady_violations(system: LtvSystem, weights: LqrWeights | None) -> list[st
     schedules = [system.A, system.B] + ([weights.Q, weights.R] if weights is not None else [])
     if not all(sched.is_constant for sched in schedules):
         return ["controller 'steady' requires constant A, B, Q, R"]
-    if _checkable(system.A, (system.n, system.n)) and _checkable(system.B, (system.n, system.m)):
-        return _stabilizability_report(system.A[0], system.B[0])
-    return []
-
-
-def _checkable(sched: MatrixSchedule, shape: tuple[int, int]) -> bool:
-    """True if a schedule's first entry has `shape` and is finite."""
-    return sched.shape == shape and bool(np.isfinite(sched[0]).all())
+    n, m = system.n, system.m
+    if _field_violations(system.A, "A", (n, n)) or _field_violations(system.B, "B", (n, m)):
+        return []
+    return _stabilizability_report(system.A[0], system.B[0])
 
 
 def _controller_gains(s: Scenario, tol: float, max_iter: int
@@ -372,24 +362,32 @@ def _rescaled(sched: MatrixSchedule, factor: float) -> MatrixSchedule:
     return MatrixSchedule.of([factor * M for M in sched])
 
 
+def _rehorizoned(sched: MatrixSchedule | None, name: str, length: int) -> MatrixSchedule | None:
+    if sched is None:
+        return None
+    if not sched.is_constant:
+        raise ValidationError([f"N sweep requires constant schedules, but {name} is time-varying"])
+    return sched.with_length(length)
+
+
 def _with_horizon(s: Scenario, N: int) -> Scenario:
     system = LtvSystem(
         n=s.system.n, m=s.system.m, p=s.system.p, N=N,
-        A=s.system.A.with_length(N), B=s.system.B.with_length(N),
-        C=s.system.C.with_length(N) if s.system.C is not None else None,
+        A=_rehorizoned(s.system.A, "A", N), B=_rehorizoned(s.system.B, "B", N),
+        C=_rehorizoned(s.system.C, "C", N),
     )
     weights = None
     if s.weights is not None:
-        weights = LqrWeights(Q=s.weights.Q.with_length(N + 1), R=s.weights.R.with_length(N))
+        weights = LqrWeights(Q=_rehorizoned(s.weights.Q, "Q", N + 1),
+                             R=_rehorizoned(s.weights.R, "R", N))
     noise = None
     if s.noise is not None:
-        noise = NoiseModel(Qd=s.noise.Qd.with_length(N), Rv=s.noise.Rv.with_length(N),
+        noise = NoiseModel(Qd=_rehorizoned(s.noise.Qd, "Qd", N),
+                           Rv=_rehorizoned(s.noise.Rv, "Rv", N),
                            x0_mean=s.noise.x0_mean, P0=s.noise.P0)
-    return replace(
-        s, system=system, weights=weights, noise=noise,
-        sim_Qd=s.sim_Qd.with_length(N) if s.sim_Qd is not None else None,
-        sim_Rv=s.sim_Rv.with_length(N) if s.sim_Rv is not None else None,
-    )
+    return replace(s, system=system, weights=weights, noise=noise,
+                   sim_Qd=_rehorizoned(s.sim_Qd, "sim_Qd", N),
+                   sim_Rv=_rehorizoned(s.sim_Rv, "sim_Rv", N))
 
 
 def _sweep_value(axis: str, value) -> int | float:

@@ -133,8 +133,14 @@ def _steady_riccati(A, B, Q, R, P, tol: float, max_iter: int, name: str):
 
     Stops when the max-abs element change drops to tol.  A non-finite
     residual (P overflowed) raises ConvergenceError at once, with the
-    iteration reached; `name` labels the solver in its message.
+    iteration reached; `name` labels the solver in its message.  A tol that
+    is not a finite number >= 0, or a max_iter below 1, raises ValueError
+    before any iteration.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     residual = np.inf
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         for it in range(1, max_iter + 1):

@@ -213,50 +213,38 @@ class Trajectory:
         return self.states.shape[0] - 1
 
 
-def _check_dims(report: list[str], sched: MatrixSchedule | None, name: str,
-                shape: tuple[int, int], length: int | None):
-    if sched is None:
-        return
-    if sched.shape != shape:
-        report.append(f"{name} entries have shape {sched.shape}, expected {shape}")
-    if length is not None and len(sched) != length:
-        report.append(f"{name} has length {len(sched)}, expected {length}")
+def _field_violations(value, name: str, shape: tuple[int, ...] | None = None,
+                      length: int | None = None, definite: bool | None = None) -> list[str]:
+    """The report lines of one input field: a schedule, a matrix, a vector or None.
 
-
-def _stacked(value) -> np.ndarray:
-    """A schedule's distinct entries, or one matrix or vector, stacked along axis 0."""
-    if isinstance(value, MatrixSchedule):
-        return np.stack(value.distinct())
-    return np.asarray(value)[None]
-
-
-def _report_non_finite(report: list[str], stack: np.ndarray, name: str) -> bool:
-    """Report the first stacked entry holding nan or inf; True if all finite."""
+    In order: the entry shape, if `shape` is given; the schedule length, if
+    `length` is; the first distinct entry holding nan or inf (indexed, as
+    `Qd[2]`, in a schedule of several); and, for a covariance (`definite`
+    True for positive definite, False for semidefinite) whose entries are
+    all finite and of `shape`, each entry's symmetry and definiteness.
+    """
+    if value is None:
+        return []
+    schedule = isinstance(value, MatrixSchedule)
+    stack = np.stack(value.distinct()) if schedule else np.asarray(value)[None]
+    report = []
+    if shape is not None and stack.shape[1:] != shape:
+        has = "entries have" if schedule else "has"
+        report.append(f"{name} {has} shape {stack.shape[1:]}, expected {shape}")
+    if length is not None and len(value) != length:
+        report.append(f"{name} has length {len(value)}, expected {length}")
     finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
-    if finite.all():
-        return True
-    where = f"{name}[{np.argmin(finite)}]" if len(stack) > 1 else name
-    report.append(f"{where} has non-finite entries (nan or inf)")
-    return False
-
-
-def _check_finite(report: list[str], value, name: str) -> bool:
-    """Report a matrix, vector or schedule holding nan or inf; True if all finite."""
-    return value is None or _report_non_finite(report, _stacked(value), name)
-
-
-def _check_definite(report: list[str], value, name: str, shape: tuple[int, int],
-                    positive: bool):
-    """Report non-finite entries, else, if of `shape`, each entry's symmetry and definiteness."""
-    stack = _stacked(value)
-    if not _report_non_finite(report, stack, name) or stack.shape[1:] != shape:
-        return
-    kind = "positive definite" if positive else "positive semidefinite"
-    for symmetric, definite in zip(*definiteness(stack, positive)):
-        if not symmetric:
-            report.append(f"{name} is not symmetric")
-        if not definite:
-            report.append(f"{name} is not {kind} (tol {DEFINITENESS_TOL})")
+    if not finite.all():
+        where = f"{name}[{np.argmin(finite)}]" if len(stack) > 1 else name
+        report.append(f"{where} has non-finite entries (nan or inf)")
+    elif definite is not None and stack.shape[1:] == shape:
+        kind = "positive definite" if definite else "positive semidefinite"
+        for symmetric, holds in zip(*definiteness(stack, definite)):
+            if not symmetric:
+                report.append(f"{name} is not symmetric")
+            if not holds:
+                report.append(f"{name} is not {kind} (tol {DEFINITENESS_TOL})")
+    return report
 
 
 def validate(system: LtvSystem, weights: LqrWeights | None = None,
@@ -270,38 +258,22 @@ def validate(system: LtvSystem, weights: LqrWeights | None = None,
     entry only a schedule the certificate cannot, so every verdict is the
     eigenvalue test's.
     """
-    report: list[str] = []
     n, m, p, N = system.n, system.m, system.p, system.N
-    if N < 1:
-        report.append(f"horizon N must be positive, got {N}")
-    _check_dims(report, system.A, "A", (n, n), N if N >= 1 else None)
-    _check_dims(report, system.B, "B", (n, m), N if N >= 1 else None)
-    if system.C is not None:
-        _check_dims(report, system.C, "C", (p, n), N if N >= 1 else None)
-    elif p != 0:
+    report = [f"horizon N must be positive, got {N}"] if N < 1 else []
+    if system.C is None and p != 0:
         report.append(f"p = {p} but no C schedule present")
-    for sched, name in ((system.A, "A"), (system.B, "B"), (system.C, "C")):
-        _check_finite(report, sched, name)
-
+    steps = N if N >= 1 else None
+    rows = [(system.A, "A", (n, n), steps), (system.B, "B", (n, m), steps),
+            (system.C, "C", (p, n), steps)]
     if weights is not None:
-        _check_dims(report, weights.Q, "Q", (n, n), N + 1)
-        _check_dims(report, weights.R, "R", (m, m), N)
-        _check_definite(report, weights.Q, "Q", (n, n), positive=False)
-        _check_definite(report, weights.R, "R", (m, m), positive=True)
-
+        rows += [(weights.Q, "Q", (n, n), N + 1, False), (weights.R, "R", (m, m), N, True)]
     if noise is not None:
-        _check_dims(report, noise.Qd, "Qd", (n, n), N)
-        _check_definite(report, noise.Qd, "Qd", (n, n), positive=False)
+        rows.append((noise.Qd, "Qd", (n, n), N, False))
         if p:
-            _check_dims(report, noise.Rv, "Rv", (p, p), N)
-            _check_definite(report, noise.Rv, "Rv", (p, p), positive=True)
-        if noise.x0_mean.shape != (n,):
-            report.append(f"x0_mean has shape {noise.x0_mean.shape}, expected ({n},)")
-        _check_finite(report, noise.x0_mean, "x0_mean")
-        if noise.P0.shape != (n, n):
-            report.append(f"P0 has shape {noise.P0.shape}, expected ({n}, {n})")
-        else:
-            _check_definite(report, noise.P0, "P0", (n, n), positive=False)
+            rows.append((noise.Rv, "Rv", (p, p), N, True))
+        rows += [(noise.x0_mean, "x0_mean", (n,)), (noise.P0, "P0", (n, n), None, False)]
+    for row in rows:
+        report += _field_violations(*row)
     return report
 
 

@@ -152,7 +152,10 @@ def parse_scenario(text: str) -> Scenario:
         if "Rv" in tr:
             sim_Rv = _schedule(tr["Rv"], "truth.Rv", N)
         if "x0_std" in tr:
-            x0_std = float(tr["x0_std"])
+            x0_std = tr["x0_std"]
+            if not isinstance(x0_std, (int, float)) or isinstance(x0_std, bool):
+                _fail("truth.x0_std", f"must be a number, got {x0_std!r}")
+            x0_std = float(x0_std)
 
     controller = run_sec.get("controller", "none")
     if controller not in CONTROLLERS:

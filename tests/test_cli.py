@@ -121,6 +121,23 @@ class TestLqrCommand:
         assert "did not converge" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol", "nan", "must be a finite float >= 0, got 'nan'"),
+        ("--tol", "-1e-10", "must be a finite float >= 0, got '-1e-10'"),
+        ("--tol", "abc", "must be a finite float >= 0, got 'abc'"),
+        ("--max-iter", "0", "must be a finite int >= 1, got '0'"),
+        ("--max-iter", "2.5", "must be a finite int >= 1, got '2.5'"),
+    ])
+    def test_bad_solver_flag_exit_2(self, fig1_file, tmp_path, capsys, flag, value, message):
+        # a nan --tol would otherwise run all --max-iter iterations and exit 1
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lqr", str(fig1_file), "--steady", f"{flag}={value}", "--output",
+                  str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+
 class TestEstimateCommand:
     def test_filter_csv_covariance_settles(self, fig4_file, tmp_path, capsys):
         assert main(["estimate", str(fig4_file), "--mode", "filter",
@@ -234,6 +251,16 @@ class TestSweepCommand:
                      "--output", str(tmp_path)]) == 2
         assert f"horizon N must be positive, got {value}" in capsys.readouterr().err
 
+    def test_horizon_sweep_over_time_varying_schedule_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "ltv.scn"
+        R = "[[[1.0]], [[2.0]], [[1.0]], [[2.0]], [[1.0]]]"      # N = 5 entries
+        path.write_text(FIG1.replace("R: [[1.0]]", f"R: {R}"))
+        assert main(["sweep", str(path), "--axis", "N", "--values", "5",
+                     "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "N sweep requires constant schedules, but R is time-varying" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_negative_seed_value_exit_2(self, fig4_file, tmp_path, capsys):
         assert main(["sweep", str(fig4_file), "--axis", "seed", "--values=3,-1",
                      "--output", str(tmp_path)]) == 2
@@ -323,6 +350,37 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         assert line in captured.err
         assert "valid" not in captured.out and not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", [["validate"], ["simulate"],
+                                         ["sweep", "--axis", "seed", "--values", "1,2"]])
+    @pytest.mark.parametrize("old, new, lines", [
+        # cholesky reads only the lower triangle, so this draw ignored the 5.0
+        ("Qd: [[0.0625, 0.0], [0.0, 0.0625]]", "Qd: [[0.0625, 5.0], [0.0, 0.0625]]",
+         ["sim_Qd is not symmetric"]),
+        ("Qd: [[0.0625, 0.0], [0.0, 0.0625]]", "Qd: [[-0.0625, 0.0], [0.0, 0.0625]]",
+         ["sim_Qd is not positive semidefinite (tol 1e-09)"]),
+        ("Rv: [[0.0625]]", "Rv: [[-0.0625]]",
+         ["sim_Rv is not positive semidefinite (tol 1e-09)"]),
+        ("x0_std: 2.5", "x0_std: [1, 2]", ["truth.x0_std: must be a number, got [1, 2]"]),
+        ("x0_std: 2.5", "x0_std: abc", ["truth.x0_std: must be a number, got 'abc'"]),
+        ("x0_std: 2.5", "x0_std: true", ["truth.x0_std: must be a number, got True"]),
+        ("x0_std: 2.5", "x0_std: -2.5", ["x0_std must be non-negative, got -2.5"]),
+    ])
+    def test_bad_truth_exit_2(self, command, old, new, lines, tmp_path, capsys):
+        path = tmp_path / "truth.scn"
+        assert old in FIG4
+        path.write_text(FIG4.replace(old, new))
+        argv = [command[0], str(path), *command[1:], "--output", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert all(line in captured.err for line in lines)
+        assert "valid" not in captured.out and not list(tmp_path.glob("*.csv"))
+
+    def test_noise_free_truth_sensor_valid(self, tmp_path, capsys):
+        path = tmp_path / "exact.scn"
+        path.write_text(FIG4.replace("Rv: [[0.0625]]", "Rv: [[0.0]]"))
+        assert main(["validate", str(path)]) == 0
+        assert "scenario is valid" in capsys.readouterr().out
 
     def test_overflowing_rank_one_weight_valid(self, tmp_path, capsys):
         # Q + Q^T overflows; the weight is still positive semidefinite

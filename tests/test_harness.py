@@ -1,5 +1,6 @@
 import itertools
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from conftest import (
     same,
 )
 from lqgkit import (
+    LqrWeights,
     LtvSystem,
+    NoiseModel,
     Scenario,
     SweepPoint,
     ValidationError,
@@ -29,7 +32,7 @@ from lqgkit import (
     sweep,
 )
 from lqgkit.cli import _bundled_scenario
-from lqgkit.harness import CONTROLLERS, ESTIMATORS, FEEDBACK, _config_violations
+from lqgkit.harness import CONTROLLERS, ESTIMATORS, FEEDBACK, _config_violations, _violations
 from lqgkit.model import MatrixSchedule
 
 
@@ -289,6 +292,68 @@ class TestRunValidation:
         ltv = replace(system, A=MatrixSchedule.of([A_BENCH] * N))
         with pytest.raises(ValidationError):
             run(replace(fig1_scenario(N), system=ltv, controller="steady"))
+
+
+def every_field_scenario(N=4):
+    """A valid scenario with every array field set; m = p = 2, so each
+    covariance, R and Rv included, can be made asymmetric."""
+    eye = np.eye(2)
+    return Scenario(
+        system=LtvSystem.lti(A_BENCH, eye, eye, horizon=N),
+        weights=LqrWeights.constant(eye, eye, horizon=N),
+        noise=NoiseModel.constant(eye, eye, X0_BENCH, eye, horizon=N),
+        controller="fixed", fixed_gain=0.5 * eye, estimator="luenberger",
+        luenberger_gain=0.5 * eye, x0=X0_BENCH,
+        sim_Qd=MatrixSchedule.constant(0.0625 * eye, N),
+        sim_Rv=MatrixSchedule.constant(0.0625 * eye, N),
+    )
+
+
+# (section of the scenario, or None for the scenario itself; field name)
+ARRAY_FIELDS = [(section, field.name)
+                for section, cls in (("system", LtvSystem), ("weights", LqrWeights),
+                                     ("noise", NoiseModel), (None, Scenario))
+                for field in fields(cls)
+                if "MatrixSchedule" in field.type or "ndarray" in field.type]
+COVARIANCES = ["Q", "R", "Qd", "Rv", "P0", "sim_Qd", "sim_Rv"]
+
+
+def with_entry(s, section, name, entry):
+    """s with field `name` set to `entry`, broadcast if the field is a schedule."""
+    owner = s if section is None else getattr(s, section)
+    old = getattr(owner, name)
+    if isinstance(old, MatrixSchedule):
+        entry = MatrixSchedule.constant(entry, len(old))
+    changed = replace(owner, **{name: entry})
+    return changed if section is None else replace(s, **{section: changed})
+
+
+class TestFieldRule:
+    def test_every_array_field_listed(self):
+        names = [name for _, name in ARRAY_FIELDS]
+        assert len(names) == 14 and set(COVARIANCES) <= set(names)
+        assert _violations(every_field_scenario()) == []
+
+    @pytest.mark.parametrize("section, name", ARRAY_FIELDS)
+    def test_non_finite_entry_named(self, section, name):
+        s = every_field_scenario()
+        owner = s if section is None else getattr(s, section)
+        value = getattr(owner, name)
+        entry = np.array(value[0] if isinstance(value, MatrixSchedule) else value)
+        entry.flat[-1] = np.nan
+        report = _violations(with_entry(s, section, name, entry))
+        assert f"{name} has non-finite entries (nan or inf)" in report
+        assert all(line.startswith(name + " ") for line in report)
+
+    @pytest.mark.parametrize("section, name", [f for f in ARRAY_FIELDS if f[1] in COVARIANCES])
+    def test_covariance_symmetry_and_definiteness(self, section, name):
+        s = every_field_scenario()
+        asymmetric = _violations(with_entry(s, section, name, [[1.0, 0.5], [0.0, 1.0]]))
+        assert asymmetric == [f"{name} is not symmetric"]
+        indefinite = _violations(with_entry(s, section, name, np.diag([1.0, -1.0])))
+        assert len(indefinite) == 1
+        assert re.fullmatch(rf"{name} is not positive (semi)?definite \(tol 1e-09\)",
+                            indefinite[0])
 
 
 class TestSweep:

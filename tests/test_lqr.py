@@ -6,7 +6,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import A_BENCH, B_BENCH, K_STEADY, X0_BENCH, bench_system, bench_weights
+from conftest import A_BENCH, B_BENCH, C_BENCH, K_STEADY, X0_BENCH, bench_system, bench_weights
 from lqgkit import (
     ConvergenceError,
     LtvSystem,
@@ -18,6 +18,7 @@ from lqgkit import (
     mayne_murdoch_gain,
     settling_report,
     simulate_closed_loop,
+    solve_dare_estimator,
     solve_dare_lqr,
     solve_lqr,
 )
@@ -247,6 +248,18 @@ class TestSolveDareLqr:
         assert excinfo.value.iterations < 100_000
         assert not np.isfinite(excinfo.value.residual)
         assert f"after {excinfo.value.iterations} iterations" in str(excinfo.value)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tol": np.nan}, "tol must be a finite number >= 0, got nan"),
+        ({"tol": np.inf}, "tol must be a finite number >= 0, got inf"),
+        ({"tol": -1e-10}, "tol must be a finite number >= 0, got -1e-10"),
+        ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+    ])
+    def test_bad_stopping_rule_rejected_before_iterating(self, kwargs, message):
+        # a nan tol would otherwise run all max_iter iterations
+        for solve, B_or_C in ((solve_dare_lqr, B_BENCH), (solve_dare_estimator, C_BENCH)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                solve(A_BENCH, B_or_C, np.eye(2), 1.0, **kwargs)
 
 
 class TestMayneMurdoch:
