@@ -113,8 +113,8 @@ def _cmd_lqr(args) -> int:
 
     solution = solve_lqr(system, weights)
     path = outdir / f"{_stem(args)}_lqr.csv"
-    _write_table(path, [_block("k", np.arange(system.N + 1)), _block("K", list(solution.K)),
-                        _block("Pdiag", _diagonals(list(solution.P)))])
+    _write_table(path, [_block("k", np.arange(system.N + 1)), _block("K", solution.K.stack),
+                        _block("Pdiag", _diagonals(solution.P.stack))])
     x0 = scenario.x0 if scenario.x0 is not None else (
         scenario.noise.x0_mean if scenario.noise is not None else None)
     if x0 is not None:
@@ -210,9 +210,9 @@ def _reproduce_fig1(args) -> int:
             costs[(N, label)] = result.cost
             traj = result.trajectory
             blocks = [_block("k", np.arange(N + 1)), _block("x", traj.states),
-                      _block("u", traj.inputs), _block("K", list(result.controller_gains))]
+                      _block("u", traj.inputs), _block("K", result.controller_gains.stack)]
             if result.riccati is not None:
-                blocks.append(_block("Pdiag", _diagonals(list(result.riccati.P))))
+                blocks.append(_block("Pdiag", _diagonals(result.riccati.P.stack)))
             path = outdir / f"fig1_n{N}_{label}.csv"
             _write_table(path, blocks)
             print(f"wrote {path}")

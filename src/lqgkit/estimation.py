@@ -229,8 +229,8 @@ class _EstimatorPlan:
         self.predictor_convention = kind in ("predictor", "luenberger")
         self.x0_mean = noise.x0_mean
         n, p, N = system.n, system.p, system.N
-        self.A, self.B, self.C = list(system.A), list(system.B), list(system.C)
-        Qd, Rv = list(noise.Qd), list(noise.Rv)
+        self.A, self.B, self.C = system.A.stack, system.B.stack, system.C.stack
+        Qd, Rv = noise.Qd.stack, noise.Rv.stack
         self.predicted = self.updated = self.smoother_gains = self.smoothed = None
         if kind == "luenberger":
             self.gains = np.broadcast_to(luenberger_gain, (N, *luenberger_gain.shape))

@@ -163,7 +163,10 @@ def _config_violations(s: Scenario) -> list[str]:
                 (s.sim_Qd, "sim_Qd", (n, n), N, False),
                 (s.sim_Rv, "sim_Rv", (p, p) if p else None, N if p else None, False)):
         problems += _field_violations(*row)
-    if s.x0_std is not None and not np.isfinite(s.x0_std):
+    if s.x0_std is not None and (isinstance(s.x0_std, bool)
+                                 or not isinstance(s.x0_std, numbers.Real)):
+        problems.append(f"x0_std must be a number, got {s.x0_std!r}")
+    elif s.x0_std is not None and not np.isfinite(s.x0_std):
         problems.append(f"x0_std is not finite, got {s.x0_std}")
     elif s.x0_std is not None and s.x0_std < 0:
         problems.append(f"x0_std must be non-negative, got {s.x0_std}")
@@ -200,10 +203,9 @@ def _controller_gains(s: Scenario, tol: float, max_iter: int
     return MatrixSchedule.constant(steady.K, s.system.N), None
 
 
-def _factors(sched: MatrixSchedule) -> list[np.ndarray]:
-    """psd_factor of each distinct entry, indexed by step."""
-    factors = [psd_factor(M) for M in sched.distinct()]
-    return factors * len(sched) if sched.is_constant else factors
+def _factors(sched: MatrixSchedule) -> np.ndarray:
+    """psd_factor of each distinct entry, (E, n, n) like `sched.distinct()`."""
+    return np.array([psd_factor(M) for M in sched.distinct()])
 
 
 @dataclass(frozen=True)
@@ -220,8 +222,8 @@ class _Plan:
     riccati: RiccatiSolution | None
     estimator: _EstimatorPlan | None
     x0_factor: np.ndarray | None
-    d_factors: list[np.ndarray] | None
-    v_factors: list[np.ndarray] | None
+    d_factors: np.ndarray | None
+    v_factors: np.ndarray | None
 
 
 def _violations(s: Scenario) -> list[str]:
@@ -248,12 +250,6 @@ def _plan(s: Scenario, tol: float, max_iter: int) -> _Plan:
     return _Plan(s, gains, riccati, estimator, x0_factor, d_factors, v_factors)
 
 
-def _noise(factors: list[np.ndarray], z: np.ndarray) -> np.ndarray:
-    """Noise rows F_k z for each seed's step-k draw z in z (S, N, c), with F_k
-    the step's covariance factor: one stacked product per step."""
-    return np.stack([matvec(F, z[:, k]) for k, F in enumerate(factors)], axis=1)
-
-
 def _simulate(plan: _Plan, seeds: list[int]) -> tuple[MonteCarloResult, _MeanPass | None]:
     """Draw each seed's noise, then move every seed's true state and
     estimate means together, one stacked product per matrix and step.
@@ -263,7 +259,7 @@ def _simulate(plan: _Plan, seeds: list[int]) -> tuple[MonteCarloResult, _MeanPas
     s, est = plan.scenario, plan.estimator
     system, noise = s.system, s.noise
     n, m, p, N, S = system.n, system.m, system.p, system.N, len(seeds)
-    A, B = list(system.A), list(system.B)
+    A, B = system.A.stack, system.B.stack
     measuring = p > 0 and noise is not None
     mean_pass = _MeanPass(est, S) if est is not None else None
     filter_convention = est is not None and not est.predictor_convention
@@ -277,8 +273,8 @@ def _simulate(plan: _Plan, seeds: list[int]) -> tuple[MonteCarloResult, _MeanPas
         x = noise.x0_mean + s.x0_std * heads
     else:
         x = noise.x0_mean + matvec(plan.x0_factor, heads)
-    d = _noise(plan.d_factors, z[0]) if noise is not None else np.zeros((S, N, n))
-    v = _noise(plan.v_factors, z[1]) if measuring else None
+    d = matvec(plan.d_factors, z[0]) if noise is not None else np.zeros((S, N, n))
+    v = matvec(plan.v_factors, z[1]) if measuring else None
 
     states = np.empty((S, N + 1, n))
     inputs = np.empty((S, N, m))
@@ -357,9 +353,7 @@ def monte_carlo(scenario: Scenario, seeds, tol: float = 1e-10,
 
 
 def _rescaled(sched: MatrixSchedule, factor: float) -> MatrixSchedule:
-    if sched.is_constant:
-        return MatrixSchedule.constant(factor * sched[0], len(sched))
-    return MatrixSchedule.of([factor * M for M in sched])
+    return MatrixSchedule(factor * sched.distinct(), len(sched))
 
 
 def _rehorizoned(sched: MatrixSchedule | None, name: str, length: int) -> MatrixSchedule | None:

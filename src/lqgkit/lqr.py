@@ -90,13 +90,13 @@ def dre_step(A_k: np.ndarray, B_k: np.ndarray, Q_k: np.ndarray, R_k: np.ndarray,
 
 def solve_lqr(system: LtvSystem, weights: LqrWeights) -> RiccatiSolution:
     """Backward recursion from P_N = Q_N down to k = 0."""
-    N = system.N
-    P = [None] * (N + 1)
-    K = [None] * N
-    P[N] = np.asarray(weights.Q[N])
+    N, n, m = system.N, system.n, system.m
+    P = np.empty((N + 1, n, n))
+    K = np.empty((N, m, n))
+    P[N] = weights.Q[N]
     for k in range(N - 1, -1, -1):
         K[k], P[k] = dre_step(system.A[k], system.B[k], weights.Q[k], weights.R[k], P[k + 1])
-    return RiccatiSolution(P=MatrixSchedule.of(P), K=MatrixSchedule.of(K))
+    return RiccatiSolution(P=MatrixSchedule(P), K=MatrixSchedule(K))
 
 
 def evaluate_cost(trajectory: Trajectory, weights: LqrWeights) -> float:

@@ -33,30 +33,31 @@ def _freeze(M: np.ndarray) -> np.ndarray:
 class MatrixSchedule:
     """Index-addressed sequence of equally shaped matrices.
 
-    A constant schedule reports the same matrix at every index, so LTI and
-    LTV systems are indistinguishable to callers; `constant` keeps one copy
-    instead of N.  Entries are immutable after construction.
+    Stored as one read-only copy of the (E, r, c) `entries` and the length L
+    (default E): E = 1 for a constant schedule, which reports its matrix at
+    every index, so LTI and LTV systems look alike to callers; else E = L.
     """
 
-    def __init__(self, entries: list[np.ndarray], length: int | None = None):
-        entries = [_freeze(np.atleast_2d(e)) for e in entries]
-        if not entries:
-            raise ValueError("schedule needs at least one matrix")
-        if any(e.shape != entries[0].shape for e in entries):
-            raise ValueError("all schedule entries must share one shape")
-        self._entries = entries
-        self._constant = len(entries) == 1 and length is not None
-        self._length = length if self._constant else len(entries)
-        if length is not None and not self._constant and length != len(entries):
+    def __init__(self, entries, length: int | None = None):
+        entries = _freeze(entries)
+        if entries.ndim != 3 or not len(entries):
+            raise ValueError(f"schedule needs an (E, r, c) array, E >= 1, got {entries.shape}")
+        length = len(entries) if length is None else length
+        if len(entries) not in (1, length):
             raise ValueError(f"schedule has {len(entries)} entries but length {length} requested")
+        self._entries = entries
+        self._length = length
 
     @classmethod
     def constant(cls, M: np.ndarray, length: int) -> "MatrixSchedule":
-        return cls([np.atleast_2d(np.asarray(M, dtype=float))], length=length)
+        return cls(np.atleast_2d(M)[None], length)
 
     @classmethod
     def of(cls, matrices) -> "MatrixSchedule":
-        return cls([np.atleast_2d(np.asarray(M, dtype=float)) for M in matrices])
+        entries = [np.atleast_2d(M) for M in matrices]
+        if any(e.shape != entries[0].shape for e in entries):
+            raise ValueError("all schedule entries must share one shape")
+        return cls(entries)
 
     def __len__(self) -> int:
         return self._length
@@ -64,34 +65,36 @@ class MatrixSchedule:
     def __getitem__(self, k: int) -> np.ndarray:
         if not 0 <= k < self._length:
             raise IndexError(f"schedule index {k} outside horizon [0, {self._length})")
-        return self._entries[0] if self._constant else self._entries[k]
+        return self._entries[0 if self.is_constant else k]
 
     def __iter__(self):
-        for k in range(self._length):
-            yield self[k]
+        return iter(self.stack)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._entries[0].shape
+        return self._entries.shape[1:]
 
     @property
     def is_constant(self) -> bool:
-        return self._constant or len(self._entries) == 1
+        return len(self._entries) == 1
 
-    def distinct(self) -> list[np.ndarray]:
-        """One representative per stored entry (a single matrix if constant)."""
-        return list(self._entries)
+    @property
+    def stack(self) -> np.ndarray:
+        """The (L, r, c) read-only view, entry k at index k (no copy when constant)."""
+        return np.broadcast_to(self._entries, (self._length, *self.shape))
+
+    def distinct(self) -> np.ndarray:
+        """The stored (E, r, c) entries: one matrix if constant, else all L."""
+        return self._entries
 
     def with_length(self, length: int) -> "MatrixSchedule":
         if not self.is_constant:
             raise ValueError("cannot re-horizon an explicit (time-varying) schedule")
-        return MatrixSchedule.constant(self._entries[0], length)
+        return MatrixSchedule(self._entries, length)
 
     def to_lists(self):
         """Plain-list form for serialization: one matrix if constant, else all."""
-        if self.is_constant:
-            return self._entries[0].tolist()
-        return [e.tolist() for e in self._entries]
+        return (self._entries[0] if self.is_constant else self._entries).tolist()
 
 
 def _as_schedule(value, length: int) -> MatrixSchedule:
@@ -100,7 +103,7 @@ def _as_schedule(value, length: int) -> MatrixSchedule:
     arr = np.asarray(value, dtype=float)
     if arr.ndim <= 2:
         return MatrixSchedule.constant(arr, length)
-    return MatrixSchedule.of(list(arr))
+    return MatrixSchedule(arr)
 
 
 @dataclass(frozen=True)
@@ -221,12 +224,15 @@ def _field_violations(value, name: str, shape: tuple[int, ...] | None = None,
     `length` is; the first distinct entry holding nan or inf (indexed, as
     `Qd[2]`, in a schedule of several); and, for a covariance (`definite`
     True for positive definite, False for semidefinite) whose entries are
-    all finite and of `shape`, each entry's symmetry and definiteness.
+    all finite and of `shape`, each entry's symmetry and definiteness, so indexed.
     """
     if value is None:
         return []
     schedule = isinstance(value, MatrixSchedule)
-    stack = np.stack(value.distinct()) if schedule else np.asarray(value)[None]
+    stack = value.distinct() if schedule else np.asarray(value)[None]
+
+    def entry(i) -> str:
+        return f"{name}[{i}]" if len(stack) > 1 else name
     report = []
     if shape is not None and stack.shape[1:] != shape:
         has = "entries have" if schedule else "has"
@@ -235,15 +241,14 @@ def _field_violations(value, name: str, shape: tuple[int, ...] | None = None,
         report.append(f"{name} has length {len(value)}, expected {length}")
     finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
     if not finite.all():
-        where = f"{name}[{np.argmin(finite)}]" if len(stack) > 1 else name
-        report.append(f"{where} has non-finite entries (nan or inf)")
+        report.append(f"{entry(np.argmin(finite))} has non-finite entries (nan or inf)")
     elif definite is not None and stack.shape[1:] == shape:
         kind = "positive definite" if definite else "positive semidefinite"
-        for symmetric, holds in zip(*definiteness(stack, definite)):
+        for i, (symmetric, holds) in enumerate(zip(*definiteness(stack, definite))):
             if not symmetric:
-                report.append(f"{name} is not symmetric")
+                report.append(f"{entry(i)} is not symmetric")
             if not holds:
-                report.append(f"{name} is not {kind} (tol {DEFINITENESS_TOL})")
+                report.append(f"{entry(i)} is not {kind} (tol {DEFINITENESS_TOL})")
     return report
 
 

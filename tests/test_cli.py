@@ -376,6 +376,17 @@ class TestValidateCommand:
         assert all(line in captured.err for line in lines)
         assert "valid" not in captured.out and not list(tmp_path.glob("*.csv"))
 
+    def test_schedule_entries_indexed(self, tmp_path, capsys):
+        path = tmp_path / "ltv.scn"
+        bad = "[[1.0, 3.0], [0.0, 1.0]]"
+        path.write_text(FIG4.replace("N: 50", "N: 3").replace(
+            "Qd: [[1.0, 0.0], [0.0, 1.0]]", f"Qd: [{bad}, {bad}, [[1.0, 0.0], [0.0, 1.0]]]"))
+        assert main(["validate", str(path)]) == 2
+        psd = "is not positive semidefinite (tol 1e-09)"
+        assert capsys.readouterr().err.splitlines() == [
+            "violation: Qd[0] is not symmetric", f"violation: Qd[0] {psd}",
+            "violation: Qd[1] is not symmetric", f"violation: Qd[1] {psd}"]
+
     def test_noise_free_truth_sensor_valid(self, tmp_path, capsys):
         path = tmp_path / "exact.scn"
         path.write_text(FIG4.replace("Rv: [[0.0625]]", "Rv: [[0.0]]"))

@@ -96,8 +96,8 @@ EXPECTED = {
                                   f"P0 {PSD}"],
     "indefinite": [f"Q {PSD}", f"R {PD}", f"Qd {PSD}", f"Rv {PD}", f"P0 {PSD}"],
     "large_norms": [f"Qd {PSD}", f"Rv {PD}"],
-    "one_bad_among_many": [f"Q {PSD}", "Q is not symmetric", f"R {PD}", "Qd is not symmetric",
-                           f"Qd {PSD}"],
+    "one_bad_among_many": [f"Q[7] {PSD}", "Q[13] is not symmetric", f"R[3] {PD}",
+                           "Qd[0] is not symmetric", f"Qd[0] {PSD}"],
     "singular_psd": [f"R {PD}"],
     "tolerance_edges": [f"Qd {PSD}", f"Rv {PD}", f"P0 {PSD}"],
 }
@@ -218,5 +218,5 @@ def test_definite_schedules_need_no_eigenvalues(eigvalsh_calls):
 
 
 def test_indefinite_entry_is_decided_by_eigenvalues(eigvalsh_calls):
-    assert validate(*ltv_problem(bad_q=5)) == [f"Q {PSD}"]
+    assert validate(*ltv_problem(bad_q=5)) == [f"Q[5] {PSD}"]
     assert len(eigvalsh_calls) >= 1

@@ -253,6 +253,15 @@ class TestRunValidation:
             run(replace(fig4_scenario(), **selector, **{field: value}))
         assert line in excinfo.value.violations
 
+    @pytest.mark.parametrize("x0_std", ["2.5", True, np.bool_(False), [2.5], 2.5j])
+    def test_non_numeric_x0_std_reported(self, x0_std):
+        scenario = replace(fig4_scenario(), x0_std=x0_std)
+        line = f"x0_std must be a number, got {x0_std!r}"
+        assert _violations(scenario) == [line]
+        with pytest.raises(ValidationError) as excinfo:
+            run(scenario)
+        assert excinfo.value.violations == [line]
+
     def test_truth_covariance_shape_checked(self):
         scenario = replace(fig4_scenario(), sim_Qd=MatrixSchedule.constant(np.eye(3), 50))
         with pytest.raises(ValidationError) as excinfo:

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import A_BENCH, B_BENCH, C_BENCH, K_STEADY, X0_BENCH, bench_system, bench_weights
@@ -260,6 +260,24 @@ class TestSolveDareLqr:
         for solve, B_or_C in ((solve_dare_lqr, B_BENCH), (solve_dare_estimator, C_BENCH)):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 solve(A_BENCH, B_or_C, np.eye(2), 1.0, **kwargs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_steady_lqr_matches_scipy(n, m, seed):
+    rng = np.random.default_rng(seed)
+    A, B = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-1.0, 1.0, (n, m))
+    W, V = rng.standard_normal((n, n)), rng.standard_normal((m, m))
+    Q, R = W @ W.T / n + 0.1 * np.eye(n), V @ V.T / m + 0.1 * np.eye(m)
+    P_ref = sla.solve_discrete_are(A, B, Q, R)
+    K_ref = np.linalg.solve(R + B.T @ P_ref @ B, B.T @ P_ref @ A)
+    # the fixed-point iteration is short on a contracting closed loop, and its
+    # rounding floor, which grows with max|P|, stays below the absolute tol
+    # for a moderate P
+    assume(max(abs(np.linalg.eigvals(A - B @ K_ref))) <= 0.95)
+    assume(np.abs(P_ref).max() <= 100.0)
+    P = solve_dare_lqr(A, B, Q, R, tol=1e-12).P
+    assert np.abs(P - P_ref).max() <= 1e-8 * np.abs(P_ref).max()
 
 
 class TestMayneMurdoch:

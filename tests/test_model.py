@@ -40,13 +40,52 @@ class TestMatrixSchedule:
             sched[0][0, 0] = 5.0
 
     def test_rehorizon_constant_only(self):
-        assert len(MatrixSchedule.constant(np.eye(2), 3).with_length(7)) == 7
+        M = np.array([[1.0, 2.0], [3.0, 4.0]])
+        longer = MatrixSchedule.constant(M, 3).with_length(7)
+        assert len(longer) == 7 and longer.is_constant
+        np.testing.assert_array_equal(longer.distinct(), [M])
         with pytest.raises(ValueError):
             MatrixSchedule.of([np.eye(2), np.eye(2)]).with_length(7)
 
     def test_mixed_shapes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="all schedule entries must share one shape"):
             MatrixSchedule.of([np.eye(2), np.eye(3)])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            MatrixSchedule.of([])
+
+    def test_stack_and_distinct(self):
+        mats = [np.arange(6.0).reshape(2, 3) + k for k in range(4)]
+        explicit = MatrixSchedule.of(mats)
+        assert explicit.distinct().shape == explicit.stack.shape == (4, 2, 3)
+        np.testing.assert_array_equal(explicit.stack, mats)
+        constant = MatrixSchedule.constant(mats[1], 5)
+        assert constant.distinct().shape == (1, 2, 3) and constant.stack.shape == (5, 2, 3)
+        np.testing.assert_array_equal(constant.stack, [mats[1]] * 5)
+        np.testing.assert_array_equal(list(constant), [mats[1]] * 5)
+
+    def test_constant_stack_is_a_view_of_its_entry(self):
+        sched = MatrixSchedule.constant(np.eye(2), 1000)
+        assert sched.stack.strides[0] == 0
+        assert np.shares_memory(sched.stack, sched.distinct())
+
+    def test_arrays_read_only_and_owned(self):
+        source = np.eye(2)
+        for sched in (MatrixSchedule.constant(source, 3), MatrixSchedule.of([source] * 3)):
+            for view in (sched.stack, sched.distinct()):
+                with pytest.raises(ValueError):
+                    view[0, 0, 0] = 5.0
+            source[0, 0] = 5.0
+            np.testing.assert_array_equal(sched[2], np.eye(2))
+            source[0, 0] = 1.0
+
+    def test_empty_matrix_constant(self):
+        # Rv when the system has no outputs (p = 0)
+        sched = MatrixSchedule.constant(np.zeros((0, 0)), 4)
+        assert len(sched) == 4 and sched.shape == (0, 0) and sched.is_constant
+        assert sched.distinct().shape == (1, 0, 0) and sched.stack.shape == (4, 0, 0)
+        assert sched[3].shape == (0, 0) and sched.to_lists() == []
 
 
 class TestValidate:

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from importlib import resources
 
 from lqgkit import (
+    LqrWeights,
+    LtvSystem,
+    MatrixSchedule,
+    NoiseModel,
+    Scenario,
     ScenarioError,
     parse_scenario,
     scenario_to_dict,
     serialize_scenario,
 )
-from lqgkit.harness import CAUSAL_ESTIMATORS, ESTIMATORS
+from lqgkit.harness import CAUSAL_ESTIMATORS, CONTROLLERS, ESTIMATORS, FEEDBACK
 
 MINIMAL = """
 system:
@@ -169,3 +176,50 @@ class TestRoundTrip:
         second = parse_scenario(serialize_scenario(first))
         assert scenario_to_dict(first) == scenario_to_dict(second)
         assert not second.system.B.is_constant
+
+
+@st.composite
+def scenarios(draw):
+    """Any scenario the file format can hold: constant or per-step schedules,
+    optional weights, noise and truth, a given or sampled x0, finite entries
+    and seeds up to 2**63.  Entries and selectors need not make a valid run."""
+    N, n, m, p = (draw(st.integers(1, hi)) for hi in (4, 3, 2, 2))
+    p = draw(st.sampled_from([0, p]))
+
+    def matrix(rows, cols):
+        entries = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=rows * cols, max_size=rows * cols))
+        return np.array(entries).reshape(rows, cols)
+
+    def schedule(rows, cols, length):
+        if draw(st.booleans()):
+            return MatrixSchedule.constant(matrix(rows, cols), length)
+        return MatrixSchedule.of([matrix(rows, cols) for _ in range(length)])
+
+    def maybe(make):
+        return make() if draw(st.booleans()) else None
+
+    system = LtvSystem(n=n, m=m, p=p, N=N, A=schedule(n, n, N), B=schedule(n, m, N),
+                       C=schedule(p, n, N) if p else None)
+    weights = maybe(lambda: LqrWeights(Q=schedule(n, n, N + 1), R=schedule(m, m, N)))
+    noise = maybe(lambda: NoiseModel(
+        Qd=schedule(n, n, N),
+        Rv=schedule(p, p, N) if p else MatrixSchedule.constant(np.zeros((0, 0)), N),
+        x0_mean=matrix(1, n)[0], P0=matrix(n, n)))
+    return Scenario(
+        system=system, weights=weights, noise=noise,
+        controller=draw(st.sampled_from(CONTROLLERS)), fixed_gain=maybe(lambda: matrix(m, n)),
+        estimator=draw(st.sampled_from(ESTIMATORS)),
+        luenberger_gain=maybe(lambda: matrix(n, p)) if p else None,
+        feedback=draw(st.sampled_from(FEEDBACK)), x0=maybe(lambda: matrix(1, n)[0]),
+        x0_std=maybe(lambda: draw(st.floats(allow_nan=False, allow_infinity=False))),
+        sim_Qd=maybe(lambda: schedule(n, n, N)),
+        sim_Rv=maybe(lambda: schedule(p, p, N)) if p else None,
+        seed=draw(st.integers(0, 2**63)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios())
+def test_serialized_scenario_parses_back(scenario):
+    assert scenario_to_dict(parse_scenario(serialize_scenario(scenario))) == \
+        scenario_to_dict(scenario)
