@@ -31,7 +31,7 @@ for k in (0, 1, 2, 5, 10, 25, 50):
 print("\ncovariance trace by estimator (believed uncertainty):")
 print(f"{'k':>4} {'predictor':>12} {'filter':>12} {'smoother':>12}")
 for k in (0, 1, 2, 5, 10, 25, 50):
-    traces = [results[est].covariance_diagonals[k].sum()
+    traces = [np.trace(results[est].trajectory.covariances[k])
               for est in ("predictor", "filter", "smoother")]
     print(f"{k:>4} {traces[0]:>12.4f} {traces[1]:>12.4f} {traces[2]:>12.4f}")
 
@@ -45,7 +45,7 @@ try:
         est_traj = results[est].trajectory
         ax.plot(truth[:, 1], "k-", lw=1, label="true x2")
         ax.plot(est_traj.estimates[:, 1], "--", label="estimate")
-        sd = np.sqrt(results[est].covariance_diagonals[:, 1])
+        sd = np.sqrt(est_traj.covariances[:, 1, 1])
         ax.fill_between(range(len(sd)), est_traj.estimates[:, 1] - 2 * sd,
                         est_traj.estimates[:, 1] + 2 * sd, alpha=0.2)
         ax.set_title(est)

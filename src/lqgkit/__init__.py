@@ -19,7 +19,8 @@ from .estimation import (
     smoother_run,
     solve_dare_estimator,
 )
-from .harness import MonteCarloResult, RunResult, Scenario, SweepPoint, monte_carlo, run, sweep
+from .harness import (MonteCarloResult, RunResult, Scenario, SweepPoint, monte_carlo, run,
+                      simulate_closed_loop, sweep)
 from .lqr import (
     RiccatiSolution,
     SettlingReport,
@@ -28,7 +29,6 @@ from .lqr import (
     evaluate_cost,
     mayne_murdoch_gain,
     settling_report,
-    simulate_closed_loop,
     solve_dare_lqr,
     solve_lqr,
 )
@@ -39,8 +39,6 @@ from .model import (
     NoiseModel,
     Trajectory,
     ValidationError,
-    step_deterministic,
-    step_stochastic,
     validate,
 )
 from .scenario import (
@@ -109,8 +107,6 @@ __all__ = [
     "solve_dare_estimator",
     "solve_dare_lqr",
     "solve_lqr",
-    "step_deterministic",
-    "step_stochastic",
     "sweep",
     "validate",
 ]

@@ -22,17 +22,13 @@ class ConvergenceError(RuntimeError):
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    """0.5 M + 0.5 M^T of a matrix, or of each matrix in a stack.
 
-
-def _symmetric_parts(stack: np.ndarray) -> np.ndarray:
-    """0.5 M + 0.5 M^T of each matrix in a stack.
-
-    Equal to `symmetrize` entry for entry wherever M + M^T neither overflows
-    nor falls subnormal (halving commutes with rounding); unlike it, finite
-    for every finite M.
+    Equal to 0.5 (M + M^T) entry for entry wherever M + M^T neither
+    overflows nor falls subnormal (halving commutes with rounding); unlike
+    it, finite for every finite M.
     """
-    half = 0.5 * stack
+    half = 0.5 * M
     return half + half.swapaxes(-1, -2)
 
 
@@ -64,9 +60,9 @@ def definiteness(stack: np.ndarray, positive: bool) -> tuple[np.ndarray, np.ndar
     size = np.maximum(stack.max(axis=(1, 2), initial=0.0), -stack.min(axis=(1, 2), initial=0.0))
     symmetric = asym <= tol * (1.0 + size)
     bound = tol if positive else -tol
-    if n and _certified(_symmetric_parts(stack), size, bound):
+    if n and _certified(symmetrize(stack), size, bound):
         return symmetric, np.ones(len(stack), dtype=bool)
-    least = np.array([np.linalg.eigvalsh(_symmetric_parts(M)).min() if n else 0.0
+    least = np.array([np.linalg.eigvalsh(symmetrize(M)).min() if n else 0.0
                       for M in stack])
     return symmetric, least > tol if positive else least >= -tol
 

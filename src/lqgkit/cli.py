@@ -142,7 +142,7 @@ def _cmd_estimate(args) -> int:
     result = run(scenario, tol=args.tol, max_iter=args.max_iter)
     path = Path(args.output) / f"{_stem(args)}_{args.mode}.csv"
     _estimator_csv(result, args.mode, path)
-    trace = result.covariance_diagonals[-1].sum()
+    trace = np.trace(result.trajectory.covariances[-1])
     print(f"{scenario.estimator} over N={scenario.system.N} steps, seed {scenario.seed}: "
           f"terminal covariance trace {trace:.6g}")
     print(f"wrote {path}")
@@ -159,8 +159,8 @@ def _cmd_simulate(args) -> int:
         blocks.append(_block("y", traj.outputs, est.predicted.first if est is not None else 0))
     if traj.estimates is not None:
         blocks.append(_block("xhat", traj.estimates))
-    if result.covariance_diagonals is not None:
-        blocks.append(_block("Pdiag", result.covariance_diagonals))
+    if traj.covariances is not None:
+        blocks.append(_block("Pdiag", _diagonals(traj.covariances)))
     path = Path(args.output) / f"{_stem(args)}_run.csv"
     _write_table(path, blocks)
     if result.cost is not None:
@@ -232,7 +232,7 @@ def _reproduce_fig4(args) -> int:
         result = run(replace(base, estimator=estimator), tol=args.tol, max_iter=args.max_iter)
         path = outdir / f"fig4_{estimator}.csv"
         _estimator_csv(result, mode, path)
-        trace = result.covariance_diagonals[-1].sum()
+        trace = np.trace(result.trajectory.covariances[-1])
         print(f"{estimator}: terminal covariance trace {trace:.6g} -> {path}")
     print(f"seed {base.seed if args.seed is None else args.seed}; "
           "covariance ordering: smoother <= filter <= predictor")

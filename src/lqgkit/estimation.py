@@ -313,10 +313,18 @@ class _MeanPass:
                             plan.smoother_gains, self.innovations[s])
 
 
+# The last plan `_estimate` built and its key (kind, system, noise), compared
+# by identity and held, so no id is reused while cached.  Sound because
+# LtvSystem and NoiseModel are frozen and every array they hold is read-only.
+_last_plan = (None, None, None, None)
+
+
 def _estimate(kind: str, system: LtvSystem, noise: NoiseModel, inputs, measurements
               ) -> EstimatorRun:
     """One mean pass of a `kind` plan over recorded inputs (N, m) and
-    measurements (N, p); ValueError naming the argument on any other shape."""
+    measurements (N, p); ValueError naming the argument on any other shape.
+    Consecutive calls on one (system, noise) share the plan."""
+    global _last_plan
     recorded = []
     for name, value, width in (("inputs", inputs, "m"), ("measurements", measurements, "p")):
         value = np.asarray(value, dtype=float)
@@ -325,7 +333,11 @@ def _estimate(kind: str, system: LtvSystem, noise: NoiseModel, inputs, measureme
             raise ValueError(f"{name} must have shape (N, {width}) = {shape}, got {value.shape}")
         recorded.append(value)
     inputs, measurements = recorded
-    mean_pass = _MeanPass(_EstimatorPlan(kind, system, noise), 1)
+    last_kind, last_system, last_noise, plan = _last_plan
+    if kind != last_kind or system is not last_system or noise is not last_noise:
+        plan = _EstimatorPlan(kind, system, noise)
+        _last_plan = (kind, system, noise, plan)
+    mean_pass = _MeanPass(plan, 1)
     for k in range(system.N):
         mean_pass.step(k, inputs[k], measurements[k])
     return mean_pass.run(0)

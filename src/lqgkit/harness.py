@@ -11,7 +11,8 @@ of estimator mode; measurement j is taken at time j for predictor-convention
 estimators (predictor, Luenberger) and at time j+1 for the filter/smoother,
 using the j-th stored C/Rv entry either way.  All seeds of a sweep or Monte
 Carlo move together in one stacked pass, whose rows equal one-seed runs bit
-for bit; `run` is its one-seed case.
+for bit; `run` is its one-seed case, and `simulate_closed_loop` its
+noise-free one.
 """
 from __future__ import annotations
 
@@ -94,7 +95,6 @@ class RunResult:
     riccati: RiccatiSolution | None
     cost: float | None
     settling: SettlingReport | None
-    covariance_diagonals: np.ndarray | None
 
 
 @dataclass
@@ -170,7 +170,9 @@ def _config_violations(s: Scenario) -> list[str]:
         problems.append(f"x0_std is not finite, got {s.x0_std}")
     elif s.x0_std is not None and s.x0_std < 0:
         problems.append(f"x0_std must be non-negative, got {s.x0_std}")
-    if s.seed < 0:
+    if isinstance(s.seed, bool) or not isinstance(s.seed, numbers.Integral):
+        problems.append(f"seed must be a non-negative integer, got {s.seed!r}")
+    elif s.seed < 0:
         problems.append(f"seed must be non-negative, got {s.seed}")
     if s.controller == "steady":
         problems += _steady_violations(s.system, s.weights)
@@ -321,20 +323,35 @@ def run(scenario: Scenario, tol: float = 1e-10, max_iter: int = 100_000) -> RunR
         outputs=runs.outputs[0] if runs.outputs is not None else None,
         estimates=runs.estimates[0] if runs.estimates is not None else None,
         covariances=runs.covariances,
-        cost=float(runs.costs[0]) if runs.costs is not None else None,
     )
-    cov_diag = None
-    if runs.covariances is not None:
-        cov_diag = np.diagonal(runs.covariances, axis1=1, axis2=2).copy()
     return RunResult(
         trajectory=trajectory,
         estimator_run=mean_pass.run(0) if mean_pass is not None else None,
         controller_gains=plan.gains,
         riccati=plan.riccati,
-        cost=trajectory.cost,
+        cost=float(runs.costs[0]) if runs.costs is not None else None,
         settling=runs.settling[0] if runs.settling is not None else None,
-        covariance_diagonals=cov_diag,
     )
+
+
+def simulate_closed_loop(system: LtvSystem, gains, x0: np.ndarray) -> Trajectory:
+    """Noise-free forward simulation under u_k = -K_k x_k: the stacked pass
+    of one seed with no noise model.
+
+    `gains` is a gain schedule, a single fixed gain matrix, or a
+    RiccatiSolution (whose K schedule is used).
+    """
+    if isinstance(gains, RiccatiSolution):
+        gains = gains.K
+    if not isinstance(gains, MatrixSchedule):
+        gains = MatrixSchedule.constant(np.atleast_2d(np.asarray(gains, dtype=float)), system.N)
+    if len(gains) != system.N:
+        raise ValueError(f"gain schedule length {len(gains)} does not match horizon {system.N}")
+    if gains.shape != (system.m, system.n):
+        raise ValueError(f"gain shape {gains.shape}, expected ({system.m}, {system.n})")
+    scenario = Scenario(system, x0=np.asarray(x0, dtype=float))   # given; None reads as [nan]
+    runs = _simulate(_Plan(scenario, gains, None, None, None, None, None), [0])[0]
+    return Trajectory(states=runs.states[0], inputs=runs.inputs[0])
 
 
 def monte_carlo(scenario: Scenario, seeds, tol: float = 1e-10,
@@ -453,7 +470,7 @@ def _points(plan: _Plan, seeds: list[int], values: list) -> list[SweepPoint]:
     runs = _simulate(plan, seeds)[0]
     terminal_trace = None
     if runs.covariances is not None:
-        terminal_trace = float(np.diag(runs.covariances[-1]).sum())
+        terminal_trace = float(np.trace(runs.covariances[-1]))
     settling = runs.settling or [None] * len(seeds)
     costs = runs.costs if runs.costs is not None else [None] * len(seeds)
     return [SweepPoint(value=value, cost=float(cost) if cost is not None else None,

@@ -223,32 +223,6 @@ def mayne_murdoch_gain(open_eigs, desired_eigs, B_diag) -> np.ndarray:
     return np.real_if_close(K, tol=1e6)
 
 
-def simulate_closed_loop(system: LtvSystem, gains, x0: np.ndarray) -> Trajectory:
-    """Forward simulation under u_k = -K_k x_k.
-
-    `gains` is a gain schedule, a single fixed gain matrix, or a
-    RiccatiSolution (whose K schedule is used).
-    """
-    if isinstance(gains, RiccatiSolution):
-        gains = gains.K
-    if not isinstance(gains, MatrixSchedule):
-        gains = MatrixSchedule.constant(np.atleast_2d(np.asarray(gains, dtype=float)), system.N)
-    if len(gains) != system.N:
-        raise ValueError(f"gain schedule length {len(gains)} does not match horizon {system.N}")
-    if gains.shape != (system.m, system.n):
-        raise ValueError(f"gain shape {gains.shape}, expected ({system.m}, {system.n})")
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    states = np.empty((system.N + 1, system.n))
-    inputs = np.empty((system.N, system.m))
-    states[0] = x
-    for k in range(system.N):
-        u = -(gains[k] @ x)
-        inputs[k] = u
-        x = system.A[k] @ x + system.B[k] @ u
-        states[k + 1] = x
-    return Trajectory(states=states, inputs=inputs)
-
-
 def settling_report(solution: RiccatiSolution, trajectory: Trajectory,
                     epsilon: float | None = None) -> SettlingReport:
     """Settling indices for a trajectory and the gain schedule that drove it.

@@ -1,4 +1,4 @@
-"""System, weight, and noise representations plus one-step propagation.
+"""System, weight, and noise representations and their validation.
 
 Time indexing convention used throughout the toolkit: states live at
 0..N, inputs and controller gains at 0..N-1.  Measurement-side schedules
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import DEFINITENESS_TOL, definiteness
-from .stochastic import GaussianStream, GaussianVector, sample_gaussian
+from .stochastic import GaussianVector
 
 
 class ValidationError(ValueError):
@@ -209,7 +209,6 @@ class Trajectory:
     outputs: np.ndarray | None = None
     estimates: np.ndarray | None = None
     covariances: np.ndarray | None = None
-    cost: float | None = None
 
     @property
     def horizon(self) -> int:
@@ -281,28 +280,3 @@ def validate(system: LtvSystem, weights: LqrWeights | None = None,
         report += _field_violations(*row)
     return report
 
-
-def step_deterministic(system: LtvSystem, k: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One noise-free step: A_k x + B_k u."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return system.A[k] @ x + system.B[k] @ u
-
-
-def step_stochastic(system: LtvSystem, noise: NoiseModel, k: int,
-                    x: np.ndarray, u: np.ndarray,
-                    stream: GaussianStream) -> tuple[np.ndarray, np.ndarray]:
-    """One noisy step: returns (A_k x + B_k u + d_k, C_k x + v_k).
-
-    d_k ~ N(0, Qd_k) is drawn first, then v_k ~ N(0, Rv_k); with p = 0 the
-    output is empty and no v is drawn.  Deterministic given the stream seed
-    and call sequence.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = sample_gaussian(GaussianVector(np.zeros(system.n), noise.Qd[k]), stream)[0]
-    x_next = step_deterministic(system, k, x, u) + d
-    if system.C is None or system.p == 0:
-        return x_next, np.zeros(0)
-    v = sample_gaussian(GaussianVector(np.zeros(system.p), noise.Rv[k]), stream)[0]
-    y = system.C[k] @ x + v
-    return x_next, y

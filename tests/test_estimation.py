@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -29,9 +31,9 @@ from lqgkit import (
     smoother_run,
     solve_dare_estimator,
     solve_dare_lqr,
-    step_deterministic,
 )
-from lqgkit.model import LtvSystem
+from lqgkit import estimation
+from lqgkit.model import LtvSystem, MatrixSchedule
 
 # Steady-state predictor solution for (A_BENCH, C_BENCH, Qd=I, Rv=1), frozen
 # from the fixed-point iteration run at tol 1e-12 and cross-checked against
@@ -126,7 +128,7 @@ class TestLuenberger:
             u = np.array([np.sin(0.3 * k)])
             y = C_BENCH @ x
             x_hat = luenberger_step(A_BENCH, B_BENCH, C_BENCH, L, x_hat, u, y)
-            x = step_deterministic(system, k, x, u)
+            x = system.A[k] @ x + system.B[k] @ u
             errors.append(np.linalg.norm(x - x_hat))
         # oracle: the error recursion e+ = (A - LC) e, simulated directly;
         # the comparison stops once the error reaches the rounding floor of
@@ -253,7 +255,7 @@ class TestFilterRun:
         for k in range(N):
             u = np.array([0.1 * np.cos(k)])
             inputs.append(u)
-            x = step_deterministic(system, k, x, u)
+            x = system.A[k] @ x + system.B[k] @ u
             states.append(x.copy())
             measurements.append(C_BENCH @ x)
         run = filter_run(system, noise, np.array(inputs), np.array(measurements))
@@ -392,6 +394,51 @@ class TestPredictorRun:
         assert [b.tag for b in run.predicted] == [(k, k - 1) for k in range(N + 1)]
 
 
+class TestPlanMemo:
+    """Consecutive recorded-data runs on one (system, noise) share one plan."""
+
+    def recorded(self, N, seed):
+        system, noise = bench_system(N, with_output=True), bench_noise(N)
+        _, inputs, measurements = simulate_measured(system, noise, K_STEADY,
+                                                    GaussianStream(seed), "filter")
+        return system, noise, inputs, measurements
+
+    def test_new_model_gets_a_new_plan(self):
+        N = 6
+        system, noise, inputs, measurements = self.recorded(N, 1)
+        first = filter_run(system, noise, inputs, measurements)
+        assert filter_run(system, noise, inputs, measurements).updated.covs is first.updated.covs
+        for other_system, other_noise in ((replace(system), noise), (system, replace(noise))):
+            other = filter_run(other_system, other_noise, inputs, measurements)
+            assert other.updated.covs is not first.updated.covs
+            assert same(other.updated.covs, first.updated.covs)
+        doubled = replace(system, A=MatrixSchedule.constant(2 * A_BENCH, N))
+        other = filter_run(doubled, noise, inputs, measurements)
+        assert not np.allclose(other.updated.covs, first.updated.covs)
+        predicted = predictor_run(doubled, noise, inputs, measurements)    # kind is in the key
+        assert predicted.predicted.covs.shape == (N + 1, 2, 2)
+
+    @pytest.mark.parametrize("estimator", [filter_run, predictor_run])
+    def test_results_equal_without_the_memo(self, estimator, monkeypatch):
+        N = 9
+        system, noise, _, _ = self.recorded(N, 0)
+        runs = [self.recorded(N, seed)[2:] for seed in range(4)]
+        cached = [estimator(system, noise, u, y) for u, y in runs]
+        fresh = []
+        for u, y in runs:
+            monkeypatch.setattr(estimation, "_last_plan", (None, None, None, None))
+            fresh.append(estimator(system, noise, u, y))
+        for a, b in zip(cached, fresh):
+            for beliefs in ("predicted", "updated"):
+                ours, theirs = getattr(a, beliefs), getattr(b, beliefs)
+                assert same(ours.means, theirs.means)
+                assert ours.covs is theirs.covs is None or same(ours.covs, theirs.covs)
+            assert same(a.gains, b.gains) and same(a.innovations, b.innovations)
+        if estimator is filter_run:
+            smoothed = [smoother_run(system, noise, run).smoothed for run in (cached[-1], fresh[-1])]
+            assert same(smoothed[0].means, smoothed[1].means)
+
+
 class TestSmootherRun:
     def _benchmark_runs(self, N=30, seed=29):
         system = bench_system(N, with_output=True)
@@ -425,7 +472,7 @@ class TestSmootherRun:
         for k in range(N):
             u = np.array([0.05 * k])
             inputs.append(u)
-            x = step_deterministic(system, k, x, u)
+            x = system.A[k] @ x + system.B[k] @ u
             states.append(x.copy())
             measurements.append(C_BENCH @ x)
         filtered = filter_run(system, noise, np.array(inputs), np.array(measurements))

@@ -28,7 +28,6 @@ from lqgkit import (
     monte_carlo,
     run,
     smoother_run,
-    step_deterministic,
     sweep,
 )
 from lqgkit.cli import _bundled_scenario
@@ -72,7 +71,7 @@ class TestRun:
         x = X0_BENCH.copy()
         for k in range(N):
             np.testing.assert_allclose(result.trajectory.states[k], x)
-            x = step_deterministic(scenario.system, k, x, np.zeros(1))
+            x = scenario.system.A[k] @ x + scenario.system.B[k] @ np.zeros(1)
         np.testing.assert_allclose(result.trajectory.states[N], x)
         assert result.cost is None
 
@@ -86,7 +85,7 @@ class TestRun:
         result = run(scenario)
         x = X0_BENCH.copy()
         for k in range(N):
-            x = step_deterministic(scenario.system, k, x, np.zeros(1))
+            x = scenario.system.A[k] @ x + scenario.system.B[k] @ np.zeros(1)
             np.testing.assert_array_equal(result.trajectory.states[k + 1], x)
 
     def test_deterministic_per_seed(self):
@@ -130,8 +129,8 @@ class TestRun:
         filt = run(fig4_scenario(estimator="filter", seed=2))
         smooth = run(fig4_scenario(estimator="smoother", seed=2))
         pred_diag = np.array([np.diag(b.cov) for b in filt.estimator_run.predicted])
-        filt_diag = filt.covariance_diagonals
-        smooth_diag = smooth.covariance_diagonals
+        filt_diag = np.diagonal(filt.trajectory.covariances, axis1=1, axis2=2)
+        smooth_diag = np.diagonal(smooth.trajectory.covariances, axis1=1, axis2=2)
         for k in range(1, 51):
             assert np.all(smooth_diag[k] <= filt_diag[k] + 1e-10)
             assert np.all(filt_diag[k] <= pred_diag[k - 1] + 1e-10)
@@ -147,7 +146,7 @@ class TestRun:
         err0 = np.linalg.norm(result.trajectory.states[0] - result.trajectory.estimates[0])
         err_end = np.linalg.norm(result.trajectory.states[-1] - result.trajectory.estimates[-1])
         assert err_end < max(err0, 1.0)
-        assert result.covariance_diagonals is None
+        assert result.trajectory.covariances is None
 
     def test_luenberger_has_no_covariance(self):
         # a fixed-gain observer computes no covariance, so none is reported
@@ -156,7 +155,7 @@ class TestRun:
         scenario = replace(fig4_scenario(N=N), estimator="luenberger",
                            luenberger_gain=[[0.0], [2.5]])
         result = run(scenario)
-        assert result.trajectory.covariances is None and result.covariance_diagonals is None
+        assert result.trajectory.covariances is None
         est = result.estimator_run
         assert est.predicted.covs is None and est.predicted[-1].cov is None
         assert same(est.predicted.means, result.trajectory.estimates)
@@ -415,10 +414,27 @@ class TestSweep:
             sweep(fig4_scenario(), axis, [value])
         assert excinfo.value.violations == [message]
 
-    def test_negative_seed_rejected_by_run(self):
+    @pytest.mark.parametrize("seed, message", [
+        (-5, "seed must be non-negative, got -5"),
+        (np.int64(-2), "seed must be non-negative, got -2"),
+        (1.5, "seed must be a non-negative integer, got 1.5"),
+        (3.0, "seed must be a non-negative integer, got 3.0"),
+        ("3", "seed must be a non-negative integer, got '3'"),
+        (None, "seed must be a non-negative integer, got None"),
+        (True, "seed must be a non-negative integer, got True"),
+        (np.bool_(True), f"seed must be a non-negative integer, got {np.bool_(True)!r}"),
+    ], ids=["negative", "numpy-negative", "float", "integral-float", "text", "none", "bool",
+            "numpy-bool"])
+    def test_negative_seed_rejected_by_run(self, seed, message):
         with pytest.raises(ValidationError) as excinfo:
-            run(replace(fig4_scenario(), seed=-5))
-        assert excinfo.value.violations == ["seed must be non-negative, got -5"]
+            run(replace(fig4_scenario(), seed=seed))
+        assert excinfo.value.violations == [message]
+        assert _violations(replace(fig4_scenario(), seed=seed)) == [message]
+
+    def test_numpy_integer_seed_runs_as_int(self):
+        # numpy integers are integers: the run equals the one with the int seed
+        a, b = run(replace(fig4_scenario(), seed=np.uint8(7))), run(fig4_scenario(seed=7))
+        assert same(a.trajectory.states, b.trajectory.states)
 
     @pytest.mark.parametrize("axis, value", [("seed", 1.5), ("N", 5.7), ("seed", "1.5")],
                              ids=["seed-float", "N-float", "seed-text"])
@@ -447,8 +463,8 @@ def accepted_configurations():
 
 def point(value, result) -> SweepPoint:
     trace = None
-    if result.covariance_diagonals is not None:
-        trace = float(result.covariance_diagonals[-1].sum())
+    if result.trajectory.covariances is not None:
+        trace = float(np.diagonal(result.trajectory.covariances[-1]).sum())
     settling = result.settling
     return SweepPoint(value=value, cost=result.cost,
                       k_x=settling.k_x if settling else None,

@@ -3,13 +3,10 @@ import pytest
 
 from conftest import A_BENCH, B_BENCH, bench_noise, bench_system, bench_weights
 from lqgkit import (
-    GaussianStream,
     LqrWeights,
     LtvSystem,
     MatrixSchedule,
     NoiseModel,
-    step_deterministic,
-    step_stochastic,
     validate,
 )
 
@@ -147,89 +144,3 @@ class TestValidate:
         report = validate(bench_system(4, with_output=True), noise=noise)
         assert report == ["Qd[2] has non-finite entries (nan or inf)",
                           "x0_mean has non-finite entries (nan or inf)"]
-
-
-class TestStepDeterministic:
-    def test_benchmark_step(self):
-        x1 = step_deterministic(bench_system(5), 0, [10.0, 5.0], [0.0])
-        np.testing.assert_allclose(x1, [5.0, -2.5])
-
-    def test_zero_fixed_point(self):
-        x1 = step_deterministic(bench_system(5), 2, [0.0, 0.0], [0.0])
-        np.testing.assert_array_equal(x1, [0.0, 0.0])
-
-    def test_scalar(self):
-        sys1 = LtvSystem.lti([[0.5]], [[1.0]], horizon=3)
-        np.testing.assert_allclose(step_deterministic(sys1, 0, [2.0], [1.0]), [2.0])
-
-    def test_out_of_horizon(self):
-        with pytest.raises(IndexError):
-            step_deterministic(bench_system(5), 5, [0.0, 0.0], [0.0])
-
-    def test_linearity(self, rng):
-        system = bench_system(5)
-        for _ in range(50):
-            a, b = rng.standard_normal(2)
-            x1, x2 = rng.standard_normal((2, 2))
-            u1, u2 = rng.standard_normal((2, 1))
-            k = int(rng.integers(0, 5))
-            lhs = step_deterministic(system, k, a * x1 + b * x2, a * u1 + b * u2)
-            rhs = a * step_deterministic(system, k, x1, u1) + b * step_deterministic(system, k, x2, u2)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_constant_equals_explicit_schedule(self):
-        N = 8
-        lti = bench_system(N)
-        ltv = LtvSystem.from_schedules([A_BENCH] * N, [B_BENCH] * N, horizon=N)
-        x_lti, x_ltv = np.array([1.0, -2.0]), np.array([1.0, -2.0])
-        for k in range(N):
-            u = [np.sin(k)]
-            x_lti = step_deterministic(lti, k, x_lti, u)
-            x_ltv = step_deterministic(ltv, k, x_ltv, u)
-            np.testing.assert_array_equal(x_lti, x_ltv)
-
-
-class TestStepStochastic:
-    def test_zero_noise_degeneracy(self):
-        system = bench_system(5, with_output=True)
-        noise = bench_noise(5, Qd=np.zeros((2, 2)), Rv=np.zeros((1, 1)), P0=np.zeros((2, 2)))
-        x, u = np.array([3.0, -1.0]), np.array([0.5])
-        x_next, y = step_stochastic(system, noise, 1, x, u, GaussianStream(0))
-        np.testing.assert_array_equal(x_next, step_deterministic(system, 1, x, u))
-        np.testing.assert_array_equal(y, system.C[1] @ x)
-
-    def test_deterministic_given_seed(self):
-        system = bench_system(5, with_output=True)
-        noise = bench_noise(5)
-        outs = []
-        for _ in range(2):
-            stream = GaussianStream(314)
-            x = np.array([1.0, 1.0])
-            record = []
-            for k in range(5):
-                x, y = step_stochastic(system, noise, k, x, [0.0], stream)
-                record.append((x.copy(), y.copy()))
-            outs.append(record)
-        for (xa, ya), (xb, yb) in zip(*outs):
-            np.testing.assert_array_equal(xa, xb)
-            np.testing.assert_array_equal(ya, yb)
-
-    def test_disturbance_moments(self):
-        # x = u = 0 so x_next is exactly the drawn disturbance
-        system = bench_system(1, with_output=True)
-        noise = bench_noise(1)
-        stream = GaussianStream(77)
-        draws = np.array([step_stochastic(system, noise, 0, [0.0, 0.0], [0.0], stream)[0]
-                          for _ in range(10_000)])
-        np.testing.assert_allclose(np.cov(draws.T), np.eye(2), atol=0.1)
-
-    def test_out_of_horizon(self):
-        with pytest.raises(IndexError):
-            step_stochastic(bench_system(3, with_output=True), bench_noise(3), 3,
-                            [0.0, 0.0], [0.0], GaussianStream(0))
-
-    def test_no_output_system(self):
-        system = bench_system(3)
-        noise = bench_noise(3)
-        x_next, y = step_stochastic(system, noise, 0, [1.0, 0.0], [0.0], GaussianStream(1))
-        assert y.size == 0 and x_next.shape == (2,)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import A_BENCH, B_BENCH, K_STEADY, bench_noise, bench_system, bench_weights
 from lqgkit import (
     GaussianStream,
     GaussianVector,
@@ -33,6 +34,7 @@ from lqgkit import (
     predictor_run,
     run,
     sample_gaussian,
+    simulate_closed_loop,
     solve_lqr,
     sweep,
 )
@@ -87,8 +89,8 @@ def same(a, b):
 
 def point(value, result) -> SweepPoint:
     trace = None
-    if result.covariance_diagonals is not None:
-        trace = float(result.covariance_diagonals[-1].sum())
+    if result.trajectory.covariances is not None:
+        trace = float(np.diagonal(result.trajectory.covariances[-1]).sum())
     settling = result.settling
     return SweepPoint(value=value, cost=result.cost,
                       k_x=settling.k_x if settling else None,
@@ -231,6 +233,110 @@ class TestMonteCarlo:
     def test_invalid_scenario_rejected(self):
         with pytest.raises(ValidationError):
             monte_carlo(replace(_bundled_scenario("fig4"), controller="pid"), [0])
+
+
+class TestForwardRecursion:
+    """One step x_{k+1} = A_k x_k + B_k u_k + d_k of the stacked pass, read
+    from `run` and `monte_carlo`."""
+
+    def test_benchmark_step(self):
+        states = run(Scenario(bench_system(1), x0=[10.0, 5.0])).trajectory.states
+        np.testing.assert_allclose(states[1], [5.0, -2.5])
+
+    @pytest.mark.parametrize("controller", ["none", "lqr"])
+    def test_zero_fixed_point(self, controller):
+        traj = run(Scenario(bench_system(5), bench_weights(5), controller=controller,
+                            x0=[0.0, 0.0])).trajectory
+        np.testing.assert_array_equal(traj.states, np.zeros((6, 2)))
+        np.testing.assert_array_equal(traj.inputs, np.zeros((5, 1)))
+
+    def test_scalar(self):
+        # x_1 = 0.5 x_0 + u_0 with x_0 = 2 and u_0 = -K x_0 = 1
+        system = LtvSystem.lti([[0.5]], [[1.0]], horizon=3)
+        traj = run(Scenario(system, controller="fixed", fixed_gain=[[-0.5]], x0=[2.0])).trajectory
+        np.testing.assert_allclose(traj.inputs[0], [1.0])
+        np.testing.assert_allclose(traj.states[1], [2.0])
+
+    def test_linearity(self, rng):
+        # noise-free under a fixed gain, states and inputs are linear in x0
+        base = replace(ltv_scenario(5, 3, 2, 2, 6), controller="fixed", noise=None)
+        for _ in range(20):
+            a, b = rng.standard_normal(2)
+            x1, x2 = rng.standard_normal((2, 3))
+            lhs, one, two = (run(replace(base, x0=x0)).trajectory
+                             for x0 in (a * x1 + b * x2, x1, x2))
+            np.testing.assert_allclose(lhs.states, a * one.states + b * two.states, atol=1e-12)
+            np.testing.assert_allclose(lhs.inputs, a * one.inputs + b * two.inputs, atol=1e-12)
+
+    def test_constant_equals_explicit_schedule(self):
+        N = 8
+        ltv = LtvSystem.from_schedules([A_BENCH] * N, [B_BENCH] * N, horizon=N)
+        lti = Scenario(bench_system(N), bench_weights(N), bench_noise(N), controller="lqr",
+                       x0=[1.0, -2.0])
+        a, b = monte_carlo(lti, [0, 1, 2]), monte_carlo(replace(lti, system=ltv), [0, 1, 2])
+        assert same(a.states, b.states) and same(a.inputs, b.inputs)
+
+    def test_zero_noise_degeneracy(self):
+        # a truth with zero covariances steps and measures like the noise-free pass
+        N = 5
+        system, x0 = bench_system(N, with_output=True), np.array([3.0, -1.0])
+        scenario = Scenario(system, noise=bench_noise(N), controller="fixed", fixed_gain=K_STEADY,
+                            x0=x0, sim_Qd=MatrixSchedule.constant(np.zeros((2, 2)), N),
+                            sim_Rv=MatrixSchedule.constant(np.zeros((1, 1)), N))
+        stacked = monte_carlo(scenario, [0, 1])
+        noise_free = simulate_closed_loop(system, K_STEADY, x0)
+        for s in range(2):
+            np.testing.assert_array_equal(stacked.states[s], noise_free.states)
+            np.testing.assert_array_equal(stacked.outputs[s],
+                                          [system.C[k] @ x for k, x in
+                                           enumerate(noise_free.states[:-1])])
+
+    def test_disturbance_moments(self):
+        # x0 = 0 and u = 0, so the state after one step is exactly the disturbance
+        scenario = Scenario(bench_system(1, with_output=True), noise=bench_noise(1),
+                            x0=[0.0, 0.0])
+        draws = monte_carlo(scenario, range(10_000)).states[:, 1]
+        np.testing.assert_allclose(np.cov(draws.T), np.eye(2), atol=0.1)
+
+    def test_no_output_system(self):
+        scenario = Scenario(bench_system(3), noise=bench_noise(3), x0=[1.0, 0.0])
+        stacked = monte_carlo(scenario, [0, 1])
+        assert stacked.outputs is None and stacked.states.shape == (2, 4, 2)
+        assert run(scenario).trajectory.outputs is None
+
+
+@pytest.mark.parametrize("case", ["fig1", "ltv"])
+def test_simulate_closed_loop_is_the_lqr_run(case):
+    # the library's noise-free simulation and an `lqr` run are one path
+    base = _bundled_scenario("fig1") if case == "fig1" else ltv_scenario(11, 4, 2, 2, 9)
+    system, weights, x0 = base.system, base.weights, base.x0
+    traj = simulate_closed_loop(system, solve_lqr(system, weights), x0)
+    result = run(Scenario(system, weights, controller="lqr", x0=x0))
+    assert same(traj.states, result.trajectory.states)
+    assert same(traj.inputs, result.trajectory.inputs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(system_seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), p=st.integers(1, 3),
+       N=st.integers(1, 24), singular_Qd=st.booleans())
+def test_smoother_filter_predictor_loewner_order(system_seed, n, p, N, singular_Qd):
+    # P_{k|N} <= P_{k|k} <= P_{k|k-1} in the Loewner order, within rounding
+    scenario = replace(ltv_scenario(system_seed, n, 1, p, N), estimator="smoother")
+    if singular_Qd:                 # rank one: the disturbance moves one direction
+        G = np.random.default_rng(system_seed).standard_normal((N, n, 1))
+        Qd = MatrixSchedule(G @ G.transpose(0, 2, 1))
+        scenario = replace(scenario, noise=replace(scenario.noise, Qd=Qd))
+    est = run(scenario).estimator_run
+
+    def below(lower, upper):
+        size = max(np.abs(lower).max(), np.abs(upper).max())
+        assert np.linalg.eigvalsh(upper - lower).min() >= -1e-9 * size
+
+    for k in range(N + 1):
+        below(est.smoothed[k].cov, est.updated[k].cov)
+        if k:
+            assert est.predicted[k - 1].tag == (k, k - 1)
+            below(est.updated[k].cov, est.predicted[k - 1].cov)
 
 
 def fig4_without_truth() -> Scenario:
