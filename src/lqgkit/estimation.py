@@ -395,7 +395,8 @@ def solve_dare_estimator(A: np.ndarray, C: np.ndarray, Qd: np.ndarray, Rv: np.nd
     the converged P, L = A P C^T (C P C^T + Rv)^{-1}, the final max-abs
     residual, and the spectral radius of A - L C.  A non-finite residual
     (P overflowed: (A, C) is not detectable) stops the iteration at once
-    with ConvergenceError.
+    with ConvergenceError, and so does a residual stalled above tol (see
+    `lqr.solve_dare_lqr`).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))

@@ -130,6 +130,11 @@ class SweepPoint:
     terminal_covariance_trace: float | None
 
 
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer, False for a bool: the seed rule."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _config_violations(s: Scenario) -> list[str]:
     problems = []
     if s.controller not in CONTROLLERS:
@@ -170,7 +175,7 @@ def _config_violations(s: Scenario) -> list[str]:
         problems.append(f"x0_std is not finite, got {s.x0_std}")
     elif s.x0_std is not None and s.x0_std < 0:
         problems.append(f"x0_std must be non-negative, got {s.x0_std}")
-    if isinstance(s.seed, bool) or not isinstance(s.seed, numbers.Integral):
+    if not _is_integer(s.seed):
         problems.append(f"seed must be a non-negative integer, got {s.seed!r}")
     elif s.seed < 0:
         problems.append(f"seed must be non-negative, got {s.seed}")
@@ -405,18 +410,19 @@ def _sweep_value(axis: str, value) -> int | float:
     """A sweep value as the run takes it: an exact int on the N and seed axes.
 
     N and seed values are read without a float round trip, so large seeds
-    stay exact: strings must be integer literals, numbers integral.  N must
-    be positive and seeds non-negative.
+    stay exact: strings must be integer literals.  A seed must otherwise be
+    an integer by `Scenario.seed`'s rule (not a bool, not a float); N may
+    also be an integral number.  N must be positive and seeds non-negative.
     """
     if axis not in ("N", "seed"):
         return float(value)
     exact = None
-    if isinstance(value, (str, numbers.Integral)):
+    if isinstance(value, str) or _is_integer(value):
         try:
             exact = int(value)
         except ValueError:
             pass
-    elif isinstance(value, numbers.Real) and float(value).is_integer():
+    elif axis == "N" and isinstance(value, numbers.Real) and float(value).is_integer():
         exact = int(value)
     if exact is None:
         raise ValidationError([f"{axis} sweep value {value!r} is not an integer"])

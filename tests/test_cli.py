@@ -119,6 +119,10 @@ class TestLqrCommand:
         assert main(["lqr", str(fig1_file), "--steady", "--max-iter", "2",
                      "--output", str(tmp_path)]) == 1
         assert "did not converge" in capsys.readouterr().err
+        # tol 0 is below fig1's rounding floor: a stall, not 100000 iterations
+        assert main(["lqr", str(fig1_file), "--steady", "--tol", "0",
+                     "--output", str(tmp_path)]) == 1
+        assert "iteration stalled at residual" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("flag, value, message", [

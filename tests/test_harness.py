@@ -436,8 +436,10 @@ class TestSweep:
         a, b = run(replace(fig4_scenario(), seed=np.uint8(7))), run(fig4_scenario(seed=7))
         assert same(a.trajectory.states, b.trajectory.states)
 
-    @pytest.mark.parametrize("axis, value", [("seed", 1.5), ("N", 5.7), ("seed", "1.5")],
-                             ids=["seed-float", "N-float", "seed-text"])
+    @pytest.mark.parametrize("axis, value", [("seed", 1.5), ("N", 5.7), ("seed", "1.5"),
+                                             ("seed", 3.0), ("seed", True)],
+                             ids=["seed-float", "N-float", "seed-text", "seed-integral-float",
+                                  "seed-bool"])
     def test_non_integral_value_rejected(self, axis, value):
         with pytest.raises(ValidationError, match=f"{axis} sweep value {value!r} is not an integer"):
             sweep(fig4_scenario(), axis, [value])

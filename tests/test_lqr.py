@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -22,6 +23,7 @@ from lqgkit import (
     solve_dare_lqr,
     solve_lqr,
 )
+from lqgkit.lqr import _STALL_WINDOW
 
 
 def random_stable_system(rng, n=2, m=1, horizon=3):
@@ -248,6 +250,29 @@ class TestSolveDareLqr:
         assert excinfo.value.iterations < 100_000
         assert not np.isfinite(excinfo.value.residual)
         assert f"after {excinfo.value.iterations} iterations" in str(excinfo.value)
+
+    @pytest.mark.parametrize("case", ["benchmark-tol-0", "large-P"])
+    def test_stall_fails_fast(self, case):
+        # the residual floors above tol, so the loop used to spin to max_iter
+        # (6 s) and fail; it now stops _STALL_WINDOW iterations after its best
+        if case == "benchmark-tol-0":
+            args, tol = (A_BENCH, B_BENCH, np.eye(2), 1.0), 0.0
+        else:
+            # max|P| 8.7e5, closed-loop spectral radius 0.74: the residual's
+            # rounding floor lies above the default tol
+            rng = np.random.default_rng(48)
+            A, B = rng.uniform(-1.0, 1.0, (4, 4)), 0.01 * rng.uniform(-1.0, 1.0, (4, 1))
+            args, tol = (A, B, np.eye(4), 1.0), 1e-10
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_dare_lqr(*args, tol=tol)
+        assert time.perf_counter() - start < 1.0
+        found = re.match(r"^steady-state LQR iteration stalled at residual (\S+) "
+                         r"\(best (\S+) at iteration (\d+)\)", str(excinfo.value))
+        assert found, str(excinfo.value)
+        residual, best, best_it = float(found[1]), float(found[2]), int(found[3])
+        assert tol < best <= residual == float(f"{excinfo.value.residual:.3e}")
+        assert excinfo.value.iterations == best_it + _STALL_WINDOW
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"tol": np.nan}, "tol must be a finite number >= 0, got nan"),

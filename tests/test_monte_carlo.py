@@ -224,8 +224,11 @@ class TestMonteCarlo:
         stacked = monte_carlo(_bundled_scenario("fig4"), [])
         assert stacked.states.shape == (0, 51, 2) and stacked.costs.shape == (0,)
 
-    @pytest.mark.parametrize("seed, message", [(-1, "seed must be non-negative"),
-                                               (1.5, "is not an integer")])
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be non-negative"), (1.5, "is not an integer"),
+        # the rule of Scenario.seed: an integral float or a bool is no seed
+        (3.0, "seed sweep value 3.0 is not an integer"),
+        (True, "seed sweep value True is not an integer")])
     def test_bad_seed_rejected(self, seed, message):
         with pytest.raises(ValidationError, match=message):
             monte_carlo(_bundled_scenario("fig4"), [0, seed])
