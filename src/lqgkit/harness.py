@@ -211,8 +211,15 @@ def _controller_gains(s: Scenario, tol: float, max_iter: int
 
 
 def _factors(sched: MatrixSchedule) -> np.ndarray:
-    """psd_factor of each distinct entry, (E, n, n) like `sched.distinct()`."""
-    return np.array([psd_factor(M) for M in sched.distinct()])
+    """psd_factor of each distinct entry, (E, n, n) like `sched.distinct()`.
+
+    One stacked Cholesky factors a schedule of definite entries, each as
+    psd_factor would; only a semidefinite entry makes it go entry by entry.
+    """
+    try:
+        return np.linalg.cholesky(sched.distinct())
+    except np.linalg.LinAlgError:
+        return np.array([psd_factor(M) for M in sched.distinct()])
 
 
 @dataclass(frozen=True)

@@ -111,21 +111,23 @@ def evaluate_cost(trajectory: Trajectory, weights: LqrWeights) -> float:
 
 
 def _quadratic_forms(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """x^T W x for each row x of X, each bit for bit float(x @ W @ x)."""
-    return (X[:, None, :] @ W @ X[:, :, None])[:, 0, 0]
+    """x_k^T W_k x_k for each row k of X (..., K, r) and entry W_k of the
+    (K, r, r) stack W, each bit for bit float(x_k @ W_k @ x_k)."""
+    return (X[..., None, :] @ W @ X[..., None])[..., 0, 0]
 
 
 def _costs(xs: np.ndarray, us: np.ndarray, weights: LqrWeights) -> np.ndarray:
     """evaluate_cost of each stacked trajectory: xs is (S, N+1, n), us (S, N, m).
 
     Summed in evaluate_cost's order, J = x_N^T Q_N x_N, then
-    J += (x_k^T Q_k x_k + u_k^T R_k u_k) for k = 0..N-1.
+    J += (x_k^T Q_k x_k + u_k^T R_k u_k) for k = 0..N-1: a cumulative sum
+    adds its terms one at a time, left to right.
     """
     N = us.shape[1]
-    J = _quadratic_forms(xs[:, N], weights.Q[N])
-    for k in range(N):
-        J += _quadratic_forms(xs[:, k], weights.Q[k]) + _quadratic_forms(us[:, k], weights.R[k])
-    return J
+    state = _quadratic_forms(xs, weights.Q.stack)
+    terms = np.concatenate([state[:, N:], state[:, :N] + _quadratic_forms(us, weights.R.stack)],
+                           axis=1)
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 # The steady Riccati loop reports a stall once its residual has set no new

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -32,8 +33,9 @@ from lqgkit import (
     solve_dare_estimator,
     solve_dare_lqr,
 )
-from lqgkit import estimation
-from lqgkit.model import LtvSystem, MatrixSchedule
+from lqgkit import estimation, parse_scenario
+from lqgkit._linalg import solve_spd, symmetrize
+from lqgkit.model import LtvSystem, MatrixSchedule, NoiseModel
 
 # Steady-state predictor solution for (A_BENCH, C_BENCH, Qd=I, Rv=1), frozen
 # from the fixed-point iteration run at tol 1e-12 and cross-checked against
@@ -498,6 +500,19 @@ class TestSmootherRun:
         assert [b.tag for b in smoothed.smoothed] == [(k, 6) for k in range(7)]
         assert len(smoothed.gains) == 6 and smoothed.gains[0].shape == (2, 2)
 
+    def test_singular_predicted_covariance_is_named(self):
+        # A = 0 and Qd = 0 make every P_{k+1|k} zero; the stacked gain solve
+        # names the first of them, P_{1|0}
+        N = 6
+        system = LtvSystem.lti(np.zeros((2, 2)), B_BENCH, C_BENCH, horizon=N)
+        noise = bench_noise(N, Qd=np.zeros((2, 2)))
+        message = "^smoother predicted covariance at k=1: matrix is not positive definite"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            smoother_run(system, noise, filter_run(system, noise, np.zeros((N, 1)),
+                                                   np.ones((N, 1))))
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            estimation._EstimatorPlan("smoother", system, noise)
+
     def test_rts_reference_implementation(self):
         # literal backward recursion, written independently
         system, noise, _, filtered = self._benchmark_runs(N=15, seed=31)
@@ -514,6 +529,98 @@ class TestSmootherRun:
                                covs[k] + G @ (sm_cov - P_pred) @ G.T)
             np.testing.assert_allclose(smoothed.smoothed[k].mean, sm_mean, atol=1e-10)
             np.testing.assert_allclose(smoothed.smoothed[k].cov, sm_cov, atol=1e-10)
+
+
+def lti_model(seed, n, p, N, radius):
+    """A random LTI model whose A has spectral radius `radius`."""
+    rng = np.random.default_rng([seed, n, p, N])
+    A = rng.standard_normal((n, n))
+    A *= radius / np.max(np.abs(np.linalg.eigvals(A)))
+    W, V = rng.standard_normal((n, n)), rng.standard_normal((p, p))
+    Qd, Rv = W @ W.T / n + 0.1 * np.eye(n), V @ V.T / p + 0.1 * np.eye(p)
+    return (LtvSystem.lti(A, rng.standard_normal((n, 2)), rng.standard_normal((p, n)),
+                          horizon=N),
+            NoiseModel.constant(Qd, Rv, rng.standard_normal(n), random_psd(rng, n), horizon=N))
+
+
+# Of these, some forward passes land on an exact fixed point before N and
+# some do not (a short horizon, or a recursion still moving at N = 80);
+# test_models_cover_both_outcomes keeps it so.
+LTI_MODELS = [(seed, n, p, N, radius) for n in range(1, 7) for p in (1, 2, 3)
+              for seed, (N, radius) in enumerate(((80, 0.5), (80, 1.2), (20, 0.5), (3, 0.9)))]
+
+
+def oracle_schedules(kind, system, noise):
+    """The plan's covariance schedules from a loop of the public step
+    functions, and the RTS schedules from one solve per gain."""
+    N, m, p = system.N, system.m, system.p
+    u, y = np.zeros(m), np.zeros(p)
+    if kind == "predictor":
+        belief, gains, predicted = Belief(noise.x0_mean, noise.P0, (0, -1)), [], [noise.P0]
+        for k in range(N):
+            belief, L = predictor_step(system.A[k], system.B[k], system.C[k], noise.Qd[k],
+                                       noise.Rv[k], belief, u, y)
+            gains.append(L)
+            predicted.append(belief.cov)
+        return {"gains": gains, "predicted": predicted}
+    belief, gains, predicted, updated = Belief(noise.x0_mean, noise.P0, (0, 0)), [], [], [noise.P0]
+    for k in range(N):
+        prior = filter_predict(system.A[k], system.B[k], noise.Qd[k], belief, u)
+        belief, L = filter_update(system.C[k], noise.Rv[k], prior, y)
+        predicted.append(prior.cov)
+        gains.append(L)
+        updated.append(belief.cov)
+    schedules = {"gains": gains, "predicted": predicted, "updated": updated}
+    if kind == "smoother":
+        smoother_gains, smoothed = [None] * N, [None] * N + [updated[N]]
+        for k in range(N - 1, -1, -1):
+            smoother_gains[k] = Ls = solve_spd(predicted[k], system.A[k] @ updated[k], "").T
+            smoothed[k] = symmetrize(updated[k] + Ls @ (smoothed[k + 1] - predicted[k]) @ Ls.T)
+        schedules.update(smoother_gains=smoother_gains, smoothed=smoothed)
+    return schedules
+
+
+def forward_steps(kind, system, noise, monkeypatch):
+    """How many forward gain steps a `kind` plan takes."""
+    name = "_predictor_gain" if kind == "predictor" else "_filter_gain"
+    step, calls = getattr(estimation, name), []
+    monkeypatch.setattr(estimation, name, lambda *args: calls.append(1) or step(*args))
+    estimation._EstimatorPlan(kind, system, noise)
+    return len(calls)
+
+
+class TestFixedPointTail:
+    """A forward pass that repeats its state byte for byte copies its tail."""
+
+    @pytest.mark.parametrize("model", LTI_MODELS, ids=lambda m: "-".join(map(str, m)))
+    def test_plan_equals_public_steps(self, model):
+        system, noise = lti_model(*model)
+        for kind in ("predictor", "filter", "smoother"):
+            plan = estimation._EstimatorPlan(kind, system, noise)
+            for name, entries in oracle_schedules(kind, system, noise).items():
+                assert same(getattr(plan, name), np.array(entries)), (kind, name)
+
+    def test_models_cover_both_outcomes(self, monkeypatch):
+        for kind in ("predictor", "filter"):
+            early = [forward_steps(kind, *lti_model(*model), monkeypatch) < model[3]
+                     for model in LTI_MODELS]
+            assert 0 < sum(early) < len(early), kind
+
+    def test_fig4_filter_stops_early(self, monkeypatch):
+        s = parse_scenario((resources.files("lqgkit") / "scenarios" / "fig4.scn").read_text())
+        assert forward_steps("filter", s.system, s.noise, monkeypatch) < s.system.N
+
+    def test_time_varying_model_takes_every_step(self, monkeypatch):
+        system, noise = lti_model(0, 2, 1, 80, 0.5)
+        varying = replace(noise, Qd=MatrixSchedule(noise.Qd.stack))
+        assert forward_steps("filter", system, noise, monkeypatch) < 80
+        assert forward_steps("filter", system, varying, monkeypatch) == 80
+        assert same(estimation._EstimatorPlan("filter", system, varying).updated,
+                    estimation._EstimatorPlan("filter", system, noise).updated)
+
+    def test_signed_zero_is_not_a_repeat(self):
+        schedule = np.array([[[0.0]], [[-0.0]], [[-0.0]]])
+        assert not estimation._repeats(schedule, 1) and estimation._repeats(schedule, 2)
 
 
 class TestSolveDareEstimator:

@@ -31,7 +31,9 @@ from lqgkit import (
     sweep,
 )
 from lqgkit.cli import _bundled_scenario
-from lqgkit.harness import CONTROLLERS, ESTIMATORS, FEEDBACK, _config_violations, _violations
+from lqgkit._linalg import psd_factor
+from lqgkit.harness import (CONTROLLERS, ESTIMATORS, FEEDBACK, _config_violations, _factors,
+                             _violations)
 from lqgkit.model import MatrixSchedule
 
 
@@ -482,3 +484,15 @@ def test_seed_sweep_equals_independent_runs(scenario, seeds):
     # one shared plan across seeds must give exactly what per-seed runs give
     assert sweep(scenario, "seed", seeds) == \
         [point(v, run(replace(scenario, seed=v))) for v in seeds]
+
+
+@pytest.mark.parametrize("case", ["definite", "semidefinite", "order-0", "constant"])
+def test_factors_equal_psd_factor_of_each_entry(case):
+    rng = np.random.default_rng(5)
+    n = 0 if case == "order-0" else 3
+    W = rng.standard_normal((6, n, n))
+    entries = W @ W.swapaxes(1, 2) + 0.1 * np.eye(n)
+    if case == "semidefinite":
+        entries[4] = np.diag([1.0, 0.0, 2.0])
+    sched = MatrixSchedule(entries[:1], 6) if case == "constant" else MatrixSchedule(entries)
+    assert same(_factors(sched), np.array([psd_factor(M) for M in sched.distinct()]))

@@ -1,4 +1,5 @@
-"""`solve_spd` on both of its paths, and the scipy import it defers.
+"""`solve_spd` on both of its paths, one matrix or a stack, and the scipy
+import it defers.
 
 Orders up to `_NUMPY_MAX_ORDER` are solved in numpy, larger ones by LAPACK
 through scipy; scipy's `cho_factor`/`cho_solve` is the oracle for both.
@@ -47,6 +48,30 @@ def test_indefinite_raises_naming_context(n):
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"^gain solve: matrix is not positive definite \("):
         solve_spd(S, np.ones((n, 1)), "gain solve")
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_stack_equals_entry_by_entry(n):
+    # a (2, 3, n, n) stack: every entry bit for bit as its own call
+    S = np.array([spd(n, seed) for seed in range(6)]).reshape(2, 3, n, n)
+    B = np.random.default_rng([2, n]).standard_normal((2, 3, n, 2))
+    X = solve_spd(S, B, "test")
+    assert X.shape == B.shape
+    for i in np.ndindex(2, 3):
+        assert X[i].tobytes() == solve_spd(S[i], B[i], "test").tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 16])
+def test_stack_names_its_first_failing_entry(n):
+    S = np.array([spd(n, seed) for seed in range(4)])
+    S[2, -1, -1] = S[3, -1, -1] = -1.0
+    B = np.ones((4, n, 1))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"^gain solve at k=2: matrix is not positive definite \("):
+        solve_spd(S, B, lambda i: f"gain solve at k={i}")
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"^gain solve: matrix is not positive definite \("):
+        solve_spd(S, B, "gain solve")
 
 
 COLD_RUN = """

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import A_BENCH, B_BENCH, C_BENCH, K_STEADY, X0_BENCH, bench_system, bench_weights
 from lqgkit import (
     ConvergenceError,
+    LqrWeights,
     LtvSystem,
     MatrixSchedule,
     RiccatiSolution,
@@ -23,7 +24,7 @@ from lqgkit import (
     solve_dare_lqr,
     solve_lqr,
 )
-from lqgkit.lqr import _STALL_WINDOW
+from lqgkit.lqr import _STALL_WINDOW, _costs
 
 
 def random_stable_system(rng, n=2, m=1, horizon=3):
@@ -189,6 +190,22 @@ class TestEvaluateCost:
         cost = evaluate_cost(simulate_closed_loop(system, K_STEADY, X0_BENCH), weights)
         assert cost == pytest.approx(432.17159820064234, abs=1e-9)
         assert cost == pytest.approx(432.17, abs=0.01)
+
+    @pytest.mark.parametrize("n, m, N", [(1, 1, 1), (2, 1, 7), (4, 3, 30), (6, 2, 2)])
+    def test_stacked_costs_equal_each_trajectory(self, n, m, N):
+        # time-varying Q and R; each row bit for bit the scalar sum, in order
+        rng = np.random.default_rng([n, m, N])
+        Q = np.array([(lambda W: W @ W.T)(rng.standard_normal((n, n))) for _ in range(N + 1)])
+        R = np.array([(lambda W: W @ W.T)(rng.standard_normal((m, m))) for _ in range(N)])
+        weights = LqrWeights(Q=MatrixSchedule(Q), R=MatrixSchedule(R))
+        xs, us = rng.standard_normal((5, N + 1, n)), rng.standard_normal((5, N, m))
+        costs = _costs(xs, us, weights)
+        for x, u, cost in zip(xs, us, costs):
+            assert cost == evaluate_cost(Trajectory(states=x, inputs=u), weights)
+            J = float(x[N] @ Q[N] @ x[N])
+            for k in range(N):
+                J += float(x[k] @ Q[k] @ x[k]) + float(u[k] @ R[k] @ u[k])
+            assert cost == J
 
     def test_length_mismatch(self):
         traj = Trajectory(states=np.zeros((6, 2)), inputs=np.zeros((5, 1)))
