@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # Definiteness decisions bound the least eigenvalue of the symmetric part at
 # this tolerance: > DEFINITENESS_TOL for positive definite, >= -DEFINITENESS_TOL
@@ -14,7 +15,12 @@ DEFINITENESS_TOL = 1e-9
 # above it.  Up to order 8 numpy's Cholesky and two general solves cost at
 # most about 1.2x scipy's cho_factor/cho_solve per call, and leaving scipy
 # unimported halves a cold CLI run; at order 16 and above they cost 2.7x a
-# direct dpotrf/dpotrs call.
+# direct dpotrf/dpotrs call.  At these orders the LAPACK work is a small part
+# of a `np.linalg` call: on a 1x1 solve the three gufunc calls take 5.6-6.0 µs
+# and the three `np.linalg` calls around them 21-23 µs (numpy 2.4, a 2-vCPU
+# Xeon VM); the rest is argument checks and one errstate context per call.
+# So the numpy path calls the gufuncs directly, under one errstate, and hands
+# the solve to the `np.linalg` calls only when a floating-point flag is raised.
 _NUMPY_MAX_ORDER = 8
 
 
@@ -98,13 +104,21 @@ def _certified(S: np.ndarray, size: np.ndarray, bound: float) -> bool:
     return bool(np.all(np.isfinite(factor)))
 
 
+class _Flagged(Exception):
+    """A floating-point flag raised on the lean path of `solve_spd`."""
+
+
+def _flagged(kind: str, flag: int):
+    raise _Flagged(kind)
+
+
 def solve_spd(S: np.ndarray, B: np.ndarray, context) -> np.ndarray:
     """Solve S X = B for symmetric positive definite S via Cholesky.
 
-    S is one matrix or an (..., n, n) stack, B then an (..., n, r) stack
-    alike; every entry of a stack is solved as it would be on its own, bit
-    for bit, in one call.  Two paths, chosen by the order of S.  Up to
-    _NUMPY_MAX_ORDER, numpy factors S = L L^T and solves with L and L^T
+    S is one float matrix or an (..., n, n) stack, B then an (..., n, r)
+    stack alike; every entry of a stack is solved as it would be on its
+    own, bit for bit, in one call.  Two paths, chosen by the order of S.  Up
+    to _NUMPY_MAX_ORDER, numpy factors S = L L^T and solves with L and L^T
     (each a stacked LAPACK call), so small problems never import scipy.
     Above it, LAPACK's dpotrf/dpotrs, imported from scipy on first use and
     called once per entry, run about 2.7 times faster than numpy's two
@@ -113,10 +127,27 @@ def solve_spd(S: np.ndarray, B: np.ndarray, context) -> np.ndarray:
     numerically PD, which signals a violated definiteness precondition
     upstream.  `context` is a string, or for a stack a function of the flat
     index of the first entry that is not PD which returns one.
+
+    The numpy path first calls the gufuncs behind `np.linalg.cholesky` and
+    `np.linalg.solve` (`solve1` for a 1-D right-hand side, as `solve` picks)
+    with every floating-point flag trapped.  A gufunc flags "invalid" exactly
+    when its LAPACK call fails, which is when `np.linalg` raises; on an
+    unflagged result `np.linalg` returns the same bits, so it is returned.
+    Any flag, from the symmetrization too, discards the result and reruns
+    the solve through `np.linalg` under the caller's errstate, so every
+    error, warning and NaN outcome is the `np.linalg` one.
     """
     name = (lambda i: context) if isinstance(context, str) else context
     n = S.shape[-1]
     if n <= _NUMPY_MAX_ORDER:
+        try:
+            with np.errstate(all="call", call=_flagged):
+                L = _umath_linalg.cholesky_lo(symmetrize(S))
+                Y = (_umath_linalg.solve1 if B.ndim == 1 else _umath_linalg.solve)(L, B)
+                return (_umath_linalg.solve1 if Y.ndim == 1 else _umath_linalg.solve)(
+                    L.swapaxes(-1, -2), Y)
+        except _Flagged:
+            pass
         S = symmetrize(S)
         try:
             L = np.linalg.cholesky(S)

@@ -222,8 +222,8 @@ class _EstimatorPlan:
     kind is "predictor", "luenberger" (the predictor's mean update with a
     fixed gain and no covariance), "filter", or "smoother" (the filter plus
     RTS gains and P_{k|N}).  The covariance pass runs once here; a
-    `_MeanPass` then moves only the means, of one run or of a stack of runs
-    at once, so a seed sweep shares one plan.
+    `_StackedPass` then moves only the means, of one run or of a stack of
+    runs at once, so a seed sweep shares one plan.
     Predictor-convention kinds take measurement k at state x_k; the filter
     and smoother take it at x_{k+1}.  Either way it uses stored entry k.
 
@@ -289,39 +289,73 @@ class _EstimatorPlan:
                          self.smoothed if kind == "smoother" else self.updated)
 
 
-class _MeanPass:
-    """The estimate means of S runs of one plan, moved together.
+class _StackedPass:
+    """The true states and estimate means of S runs, moved together.
 
-    `means` (S, N+1, n) starts every run at x0_mean; `step(k, u, y)` takes
-    the runs' inputs u (S, m) and measurements y (S, p) and fills slot k+1
-    of `means` and slot k of `innovations` (S, N, p) and, on the filter
-    convention, of `predicted` (S, N, n).  Predictor convention: x_{k|k-1}
-    -> x_{k+1|k}.  Filter: x_{k|k} -> x_{k+1|k+1} through x_{k+1|k}.
+    Block k, `rows[k]` (G, S, n), holds up to two groups of S rows: the
+    true states x_k when the pass simulates them, then the estimate means
+    of a plan (predictor convention x_{k|k-1}, filter x_{k|k}).  A
+    recorded-data pass holds the means alone, a run without an estimator
+    the true states alone.  Each `step` applies A_k, and C_k when
+    measuring, to the whole block in one stacked product and adds the runs'
+    B_k u_k to every group, so each row is its own run's products bit for
+    bit.  Measurement k is taken at time k+1 on the filter convention, else
+    at time k, and fills slot k of `innovations` (S, N, p) and, on the
+    filter convention, of `predicted` (S, N, n) x_{k+1|k}.
+
+    `truth` is None for a recorded-data pass, or the runs' initial states
+    (S, n), disturbances d (S, N, n) and measurement noise v (S, N, p), v
+    None when C is None (nothing is measured); the simulated measurement
+    C x + v fills slot k of `outputs` (S, N, p).
     """
 
-    def __init__(self, plan: _EstimatorPlan, S: int):
-        N, n, p = len(plan.A), len(plan.x0_mean), plan.C[0].shape[0]
-        self.plan = plan
-        self.means = np.empty((S, N + 1, n))
-        self.means[:, 0] = plan.x0_mean
-        self.predicted = None if plan.predictor_convention else np.empty((S, N, n))
-        self.innovations = np.empty((S, N, p))
-        self.smoothed = None
+    def __init__(self, A, C, plan: _EstimatorPlan | None, S: int, truth=None):
+        N, n = A.shape[:2]
+        self.A, self.C, self.plan = A, C, plan
+        self.filter_convention = plan is not None and not plan.predictor_convention
+        groups = []
+        if truth is not None:
+            x0, self.d, self.v = truth
+            groups.append(x0)
+        if plan is not None:
+            groups.append(np.broadcast_to(plan.x0_mean, (S, n)))
+        self.simulated = truth is not None
+        self.rows = np.empty((N + 1, len(groups), S, n))
+        self.rows[0] = groups
+        p = C.shape[1] if C is not None else 0
+        self.outputs = np.empty((S, N, p)) if self.simulated and C is not None else None
+        self.innovations = np.empty((S, N, p)) if plan is not None else None
+        self.predicted = np.empty((S, N, n)) if self.filter_convention else None
+        self.states = self.means = self.smoothed = None
 
-    def step(self, k: int, u, y) -> None:
-        plan, mean = self.plan, self.means[:, k]
-        if plan.predictor_convention:
-            self.innovations[:, k] = innovation = y - matvec(plan.C[k], mean)
-            self.means[:, k + 1] = (matvec(plan.A[k], mean) + matvec(plan.B[k], u)
-                                    + matvec(plan.gains[k], innovation))
-        else:
-            self.predicted[:, k] = predicted = matvec(plan.A[k], mean) + matvec(plan.B[k], u)
-            self.innovations[:, k] = innovation = y - matvec(plan.C[k], predicted)
-            self.means[:, k + 1] = predicted + matvec(plan.gains[k], innovation)
+    def step(self, k: int, Bu, y=None) -> None:
+        """Block k to block k+1, given the runs' B_k u_k (S, n) and, on a
+        recorded-data pass, their measurements y (S, p)."""
+        block, moved = self.rows[k], self.rows[k + 1]
+        np.add(matvec(self.A[k], block), Bu, out=moved)
+        if self.simulated:
+            np.add(moved[0], self.d[:, k], out=moved[0])
+        if self.C is None:
+            return
+        measured = matvec(self.C[k], moved if self.filter_convention else block)
+        if self.simulated:
+            self.outputs[:, k] = y = measured[0] + self.v[:, k]
+        if self.plan is not None:
+            self.innovations[:, k] = innovation = y - measured[-1]
+            estimate = moved[-1]
+            if self.filter_convention:
+                self.predicted[:, k] = estimate
+            np.add(estimate, matvec(self.plan.gains[k], innovation), out=estimate)
 
-    def finish(self) -> np.ndarray:
-        """After the last step: the means aligned with the states, which on
-        a smoother plan are the smoothed means x_{k|N}."""
+    def finish(self) -> np.ndarray | None:
+        """After the last step: sets `states` and `means` (S, N+1, n), and
+        `smoothed` on a smoother plan; returns the means aligned with the
+        states, which on a smoother plan are the smoothed means x_{k|N}."""
+        if self.simulated:
+            self.states = np.ascontiguousarray(self.rows[:, 0].swapaxes(0, 1))
+        if self.plan is None:
+            return None
+        self.means = np.ascontiguousarray(self.rows[:, -1].swapaxes(0, 1))
         if self.plan.kind != "smoother":
             return self.means
         self.smoothed = _smoother_means(self.plan.smoother_gains, self.means, self.predicted)
@@ -351,7 +385,7 @@ _last_plan = (None, None, None, None)
 
 def _estimate(kind: str, system: LtvSystem, noise: NoiseModel, inputs, measurements
               ) -> EstimatorRun:
-    """One mean pass of a `kind` plan over recorded inputs (N, m) and
+    """One stacked pass of a `kind` plan over recorded inputs (N, m) and
     measurements (N, p); ValueError naming the argument on any other shape.
     Consecutive calls on one (system, noise) share the plan."""
     global _last_plan
@@ -367,10 +401,12 @@ def _estimate(kind: str, system: LtvSystem, noise: NoiseModel, inputs, measureme
     if kind != last_kind or system is not last_system or noise is not last_noise:
         plan = _EstimatorPlan(kind, system, noise)
         _last_plan = (kind, system, noise, plan)
-    mean_pass = _MeanPass(plan, 1)
+    stacked = _StackedPass(plan.A, plan.C, plan, 1)
+    Bu = matvec(plan.B, inputs)     # every B_k u_k in one stacked product
     for k in range(system.N):
-        mean_pass.step(k, inputs[k], measurements[k])
-    return mean_pass.run(0)
+        stacked.step(k, Bu[k], measurements[k])
+    stacked.finish()
+    return stacked.run(0)
 
 
 def filter_run(system: LtvSystem, noise: NoiseModel, inputs, measurements) -> EstimatorRun:

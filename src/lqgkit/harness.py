@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._linalg import matvec, psd_factor
-from .estimation import EstimatorRun, _EstimatorPlan, _MeanPass
+from .estimation import EstimatorRun, _EstimatorPlan, _StackedPass
 from .lqr import (
     RiccatiSolution,
     SettlingReport,
@@ -264,23 +264,22 @@ def _plan(s: Scenario, tol: float, max_iter: int) -> _Plan:
     return _Plan(s, gains, riccati, estimator, x0_factor, d_factors, v_factors)
 
 
-def _simulate(plan: _Plan, seeds: list[int]) -> tuple[MonteCarloResult, _MeanPass | None]:
+def _simulate(plan: _Plan, seeds: list[int]) -> tuple[MonteCarloResult, _StackedPass]:
     """Draw each seed's noise, then move every seed's true state and
     estimate means together, one stacked product per matrix and step.
 
-    Returns the stacked runs with, under an estimator, its mean pass.
+    Returns the stacked runs with the pass that made them.  A run with a
+    given x0 and no noise model draws nothing.
     """
     s, est = plan.scenario, plan.estimator
     system, noise = s.system, s.noise
     n, m, p, N, S = system.n, system.m, system.p, system.N, len(seeds)
-    A, B = system.A.stack, system.B.stack
     measuring = p > 0 and noise is not None
-    mean_pass = _MeanPass(est, S) if est is not None else None
-    filter_convention = est is not None and not est.predictor_convention
 
+    head = n if s.x0 is None else 0
     counts = (n, p) if measuring else (n,) if noise is not None else ()
-    heads, z = _predraw([GaussianStream(seed) for seed in seeds],
-                        n if s.x0 is None else 0, counts, N)
+    if head or counts:
+        heads, z = _predraw([GaussianStream(seed) for seed in seeds], head, counts, N)
     if s.x0 is not None:
         x = np.tile(s.x0, (S, 1))
     elif s.x0_std is not None:
@@ -290,34 +289,29 @@ def _simulate(plan: _Plan, seeds: list[int]) -> tuple[MonteCarloResult, _MeanPas
     d = matvec(plan.d_factors, z[0]) if noise is not None else np.zeros((S, N, n))
     v = matvec(plan.v_factors, z[1]) if measuring else None
 
-    states = np.empty((S, N + 1, n))
+    stacked = _StackedPass(system.A.stack, system.C.stack if measuring else None, est, S,
+                           (x, d, v))
+    B = system.B.stack
+    gains = plan.gains.stack if plan.gains is not None else None
+    fed = -1 if s.feedback == "estimate" else 0     # the rows the controller reads
     inputs = np.empty((S, N, m))
-    outputs = np.empty((S, N, p)) if measuring else None
-    states[:, 0] = x
-    zero_u = np.zeros((S, m))
+    u = np.zeros((S, m))
     for k in range(N):
-        if plan.gains is None:
-            u = zero_u
-        else:
-            u = -matvec(plan.gains[k], mean_pass.means[:, k] if s.feedback == "estimate" else x)
+        if gains is not None:
+            u = -matvec(gains[k], stacked.rows[k, fed])
         inputs[:, k] = u
-        x_next = matvec(A[k], x) + matvec(B[k], u) + d[:, k]
-        if measuring:
-            # measurement k is taken at time k+1 on the filter convention, else at time k
-            outputs[:, k] = y = matvec(system.C[k], x_next if filter_convention else x) + v[:, k]
-            if mean_pass is not None:
-                mean_pass.step(k, u, y)
-        states[:, k + 1] = x = x_next
+        stacked.step(k, matvec(B[k], u))
+    estimates = stacked.finish()
 
     result = MonteCarloResult(
-        seeds=list(seeds), states=states, inputs=inputs, outputs=outputs,
-        estimates=mean_pass.finish() if mean_pass is not None else None,
-        innovations=mean_pass.innovations if mean_pass is not None else None,
-        costs=_costs(states, inputs, s.weights) if s.weights is not None else None,
-        settling=_settling_reports(plan.riccati, states) if plan.riccati is not None else None,
+        seeds=list(seeds), states=stacked.states, inputs=inputs, outputs=stacked.outputs,
+        estimates=estimates, innovations=stacked.innovations,
+        costs=_costs(stacked.states, inputs, s.weights) if s.weights is not None else None,
+        settling=(_settling_reports(plan.riccati, stacked.states)
+                  if plan.riccati is not None else None),
         covariances=est.reported if est is not None else None,
     )
-    return result, mean_pass
+    return result, stacked
 
 
 def run(scenario: Scenario, tol: float = 1e-10, max_iter: int = 100_000) -> RunResult:
@@ -329,7 +323,7 @@ def run(scenario: Scenario, tol: float = 1e-10, max_iter: int = 100_000) -> RunR
     case of `monte_carlo`.
     """
     plan = _plan(scenario, tol, max_iter)
-    runs, mean_pass = _simulate(plan, [scenario.seed])
+    runs, stacked = _simulate(plan, [scenario.seed])
     trajectory = Trajectory(
         states=runs.states[0], inputs=runs.inputs[0],
         outputs=runs.outputs[0] if runs.outputs is not None else None,
@@ -338,7 +332,7 @@ def run(scenario: Scenario, tol: float = 1e-10, max_iter: int = 100_000) -> RunR
     )
     return RunResult(
         trajectory=trajectory,
-        estimator_run=mean_pass.run(0) if mean_pass is not None else None,
+        estimator_run=stacked.run(0) if plan.estimator is not None else None,
         controller_gains=plan.gains,
         riccati=plan.riccati,
         cost=float(runs.costs[0]) if runs.costs is not None else None,

@@ -76,11 +76,12 @@ def dre_step(A_k: np.ndarray, B_k: np.ndarray, Q_k: np.ndarray, R_k: np.ndarray,
     The inner matrix R_k + B_k^T P_next B_k is factorized, never inverted; a
     factorization failure signals a violated R > 0 precondition.
     """
-    A_k = np.atleast_2d(np.asarray(A_k, dtype=float))
-    B_k = np.atleast_2d(np.asarray(B_k, dtype=float))
-    Q_k = np.atleast_2d(np.asarray(Q_k, dtype=float))
-    R_k = np.atleast_2d(np.asarray(R_k, dtype=float))
-    P_next = np.atleast_2d(np.asarray(P_next, dtype=float))
+    return _dre_step(*(np.atleast_2d(np.asarray(M, dtype=float))
+                       for M in (A_k, B_k, Q_k, R_k, P_next)))
+
+
+def _dre_step(A_k, B_k, Q_k, R_k, P_next):
+    """dre_step on 2-D float arrays, taken as they are."""
     BtP = B_k.T @ P_next
     K = solve_spd(R_k + BtP @ B_k, BtP @ A_k, "LQR gain solve")
     A_cl = A_k - B_k @ K
@@ -91,11 +92,12 @@ def dre_step(A_k: np.ndarray, B_k: np.ndarray, Q_k: np.ndarray, R_k: np.ndarray,
 def solve_lqr(system: LtvSystem, weights: LqrWeights) -> RiccatiSolution:
     """Backward recursion from P_N = Q_N down to k = 0."""
     N, n, m = system.N, system.n, system.m
+    A, B, Q, R = system.A.stack, system.B.stack, weights.Q.stack, weights.R.stack
     P = np.empty((N + 1, n, n))
     K = np.empty((N, m, n))
-    P[N] = weights.Q[N]
+    P[N] = Q[N]
     for k in range(N - 1, -1, -1):
-        K[k], P[k] = dre_step(system.A[k], system.B[k], weights.Q[k], weights.R[k], P[k + 1])
+        K[k], P[k] = _dre_step(A[k], B[k], Q[k], R[k], P[k + 1])
     return RiccatiSolution(P=MatrixSchedule(P), K=MatrixSchedule(K))
 
 
@@ -145,13 +147,14 @@ _STALL_GATE = np.sqrt(np.finfo(float).eps)
 def _steady_riccati(A, B, Q, R, P, tol: float, max_iter: int, name: str):
     """Fixed point of dre_step from P; returns (P, K, iterations, residual).
 
-    Stops when the max-abs element change drops to tol.  A non-finite
-    residual (P overflowed) raises ConvergenceError at once, with the
-    iteration reached, and so does a stall: a residual that has set no new
-    minimum for _STALL_WINDOW iterations and is at most _STALL_GATE max|P|,
-    so it sits at its rounding floor above tol.  `name` labels the solver
-    in its message.  A tol that is not a finite number >= 0, or a max_iter
-    below 1, raises ValueError before any iteration.
+    A, B, Q, R and P are 2-D float arrays, taken as they are.  Stops when
+    the max-abs element change drops to tol.  A non-finite residual (P
+    overflowed) raises ConvergenceError at once, with the iteration
+    reached, and so does a stall: a residual that has set no new minimum
+    for _STALL_WINDOW iterations and is at most _STALL_GATE max|P|, so it
+    sits at its rounding floor above tol.  `name` labels the solver in its
+    message.  A tol that is not a finite number >= 0, or a max_iter below
+    1, raises ValueError before any iteration.
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
@@ -160,13 +163,13 @@ def _steady_riccati(A, B, Q, R, P, tol: float, max_iter: int, name: str):
     residual, best, best_it = np.inf, np.inf, 0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         for it in range(1, max_iter + 1):
-            K, P_new = dre_step(A, B, Q, R, P)
+            K, P_new = _dre_step(A, B, Q, R, P)
             residual = float(np.max(np.abs(P_new - P)))
             P = P_new
             if not np.isfinite(residual):
                 raise ConvergenceError(f"steady-state {name} iteration diverged", residual, it)
             if residual <= tol:
-                K, _ = dre_step(A, B, Q, R, P)
+                K, _ = _dre_step(A, B, Q, R, P)
                 return P, K, it, residual
             if residual < best:
                 best, best_it = residual, it

@@ -83,13 +83,18 @@ class GaussianStream:
             raise ValueError("count must be nonnegative")
         if count == 0:
             return np.zeros(0)
-        pairs = (count + 1) // 2
-        u = self._uniform.random((pairs, 2))
-        r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-        z = np.empty((pairs, 2))
-        z[:, 0] = r * np.cos(_TWO_PI * u[:, 1])
-        z[:, 1] = r * np.sin(_TWO_PI * u[:, 1])
-        return z.reshape(-1)[:count]
+        return _box_muller(self._uniform.random(((count + 1) // 2, 2)))[:count]
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """The normals z0, z1 of each uniform pair (u1, u2) along the last axis of
+    u (..., pairs, 2), pair by pair: (..., 2 pairs).  Element by element, so
+    a stack of streams' pairs transforms as each stream's pairs would."""
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))
+    z = np.empty(u.shape)
+    z[..., 0] = r * np.cos(_TWO_PI * u[..., 1])
+    z[..., 1] = r * np.sin(_TWO_PI * u[..., 1])
+    return z.reshape(*u.shape[:-2], 2 * u.shape[-2])
 
 
 def _predraw(streams: list[GaussianStream], head: int, counts: tuple[int, ...], rounds: int
@@ -98,15 +103,17 @@ def _predraw(streams: list[GaussianStream], head: int, counts: tuple[int, ...], 
     of one `standard_normal(c)` call per c in `counts` would return, drawn at once.
 
     PCG64 uniforms are sequential, so one call for all of a stream's pairs
-    replays its per-call normals exactly, odd spares included.  Returns the
+    replays its per-call normals exactly, odd spares included; the pairs of
+    all streams then go through one Box-Muller transform.  Returns the
     (S, head) head vectors and, per count c, an (S, rounds, c) array whose
     [s, k] row is stream s's round-k vector.
     """
     padded = [2 * ((c + 1) // 2) for c in counts]
     head_padded = 2 * ((head + 1) // 2)
-    z = np.empty((len(streams), head_padded + rounds * sum(padded)))
-    for stream, row in zip(streams, z):
-        row[:] = stream.standard_normal(z.shape[1])
+    u = np.empty((len(streams), (head_padded + rounds * sum(padded)) // 2, 2))
+    for stream, pairs in zip(streams, u):
+        stream._uniform.random(pairs.shape, out=pairs)
+    z = _box_muller(u)
     body = z[:, head_padded:].reshape(len(streams), rounds, sum(padded))
     starts = np.cumsum([0] + padded[:-1])
     return z[:, :head], [body[:, :, s:s + c] for s, c in zip(starts, counts)]

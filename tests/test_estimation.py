@@ -396,6 +396,36 @@ class TestPredictorRun:
         assert [b.tag for b in run.predicted] == [(k, k - 1) for k in range(N + 1)]
 
 
+@pytest.mark.parametrize("n, m, p, N", [(1, 1, 1, 4), (3, 2, 2, 9), (6, 3, 3, 12)])
+def test_recorded_runs_equal_one_vector_products(n, m, p, N):
+    # every schedule time-varying: the recorded runs' B_k u_k, formed for all
+    # k in one stacked product, and their means equal one-vector products
+    # with the runs' own gains bit for bit
+    rng = np.random.default_rng([n, m, p, N])
+    system = LtvSystem.from_schedules([rng.standard_normal((n, n)) for _ in range(N)],
+                                      [rng.standard_normal((n, m)) for _ in range(N)],
+                                      [rng.standard_normal((p, n)) for _ in range(N)],
+                                      horizon=N)
+    noise = NoiseModel(Qd=MatrixSchedule.of([random_psd(rng, n) for _ in range(N)]),
+                       Rv=MatrixSchedule.of([random_psd(rng, p) for _ in range(N)]),
+                       x0_mean=rng.standard_normal(n), P0=random_psd(rng, n))
+    inputs, measurements = rng.standard_normal((N, m)), rng.standard_normal((N, p))
+    filtered = filter_run(system, noise, inputs, measurements)
+    predicted = predictor_run(system, noise, inputs, measurements)
+    updated = predicting = noise.x0_mean
+    for k in range(N):
+        A, B, C, u, y = system.A[k], system.B[k], system.C[k], inputs[k], measurements[k]
+        prior = A @ updated + B @ u
+        innovation = y - C @ prior
+        updated = prior + filtered.gains[k] @ innovation
+        predicting = (A @ predicting + B @ u
+                      + predicted.gains[k] @ (y - C @ predicting))
+        assert same(filtered.predicted[k].mean, prior)
+        assert same(filtered.innovations[k], innovation)
+        assert same(filtered.updated[k + 1].mean, updated)
+        assert same(predicted.predicted[k + 1].mean, predicting)
+
+
 class TestPlanMemo:
     """Consecutive recorded-data runs on one (system, noise) share one plan."""
 

@@ -1,6 +1,11 @@
 import itertools
+import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,3 +501,28 @@ def test_factors_equal_psd_factor_of_each_entry(case):
         entries[4] = np.diag([1.0, 0.0, 2.0])
     sched = MatrixSchedule(entries[:1], 6) if case == "constant" else MatrixSchedule(entries)
     assert same(_factors(sched), np.array([psd_factor(M) for M in sched.distinct()]))
+
+
+NOISE_FREE_RUN = """
+import json, sys
+from lqgkit.cli import main
+
+out = sys.argv[1]
+codes = [main(["reproduce", "fig1", "--output", out])]
+after_fig1 = "numpy.random" in sys.modules
+codes.append(main(["reproduce", "fig4", "--output", out]))
+print(json.dumps({"codes": codes, "after_fig1": after_fig1,
+                  "after_fig4": "numpy.random" in sys.modules}))
+"""
+
+
+def test_noise_free_runs_draw_nothing(tmp_path):
+    # fig1 gives x0 and has no noise model, so no seeded stream is built and
+    # numpy.random is never imported; fig4 draws its noise, so it is
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", NOISE_FREE_RUN, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"codes": [0, 0], "after_fig1": False, "after_fig4": True}

@@ -2,19 +2,23 @@
 import it defers.
 
 Orders up to `_NUMPY_MAX_ORDER` are solved in numpy, larger ones by LAPACK
-through scipy; scipy's `cho_factor`/`cho_solve` is the oracle for both.
+through scipy; scipy's `cho_factor`/`cho_solve` is the oracle for both.  The
+numpy path calls numpy's linalg gufuncs directly; the `np.linalg` calls it
+stands for are its oracle, bit for bit and failure for failure.
 """
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from lqgkit._linalg import _NUMPY_MAX_ORDER, solve_spd
+from lqgkit import ConvergenceError, solve_dare_lqr
+from lqgkit._linalg import _NUMPY_MAX_ORDER, solve_spd, symmetrize
 
 ROOT = Path(__file__).resolve().parents[1]
 ORDERS = range(1, 17)
@@ -72,6 +76,82 @@ def test_stack_names_its_first_failing_entry(n):
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"^gain solve: matrix is not positive definite \("):
         solve_spd(S, B, "gain solve")
+
+
+def np_linalg_solve(S, B):
+    """The `np.linalg` calls the numpy path stands for."""
+    L = np.linalg.cholesky(symmetrize(S))
+    return np.linalg.solve(L.swapaxes(-1, -2), np.linalg.solve(L, B))
+
+
+def outcome(solve, S, B):
+    """The bytes and shape of solve(S, B), or the type and message of what it
+    raised, with every warning turned into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            X = solve(S, B)
+        except Exception as exc:        # noqa: BLE001 - the outcome is compared
+            return type(exc), str(exc)
+    return X.shape, X.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, _NUMPY_MAX_ORDER + 1))
+@pytest.mark.parametrize("stack", [(), (2, 3)], ids=["single", "stack"])
+@pytest.mark.parametrize("rhs", ["vector", "n x 1", "n x 3"])
+def test_numpy_path_equals_np_linalg(n, stack, rhs):
+    # S is slightly asymmetric, so its symmetrization counts; a 1-D right-hand
+    # side keeps np.linalg.solve's semantics, under which a stack of S and a
+    # vector fail with np.linalg's own ValueError
+    W, E = np.random.default_rng([3, n]).standard_normal((2,) + stack + (n, n))
+    S = W @ W.swapaxes(-1, -2) + 0.1 * np.eye(n) + 1e-3 * E
+    shape = {"vector": (n,), "n x 1": stack + (n, 1), "n x 3": stack + (n, 3)}[rhs]
+    B = np.random.default_rng([4, n]).standard_normal(shape)
+    got = outcome(lambda S, B: solve_spd(S, B, "test"), S, B)
+    assert got == outcome(np_linalg_solve, S, B)
+    assert got[0] == shape or (stack and rhs == "vector" and got[0] is ValueError)
+
+
+def test_numpy_path_makes_no_np_linalg_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in ("cholesky", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for n in range(1, _NUMPY_MAX_ORDER + 1):
+        solve_spd(spd(n, 5), np.ones((n, 2)), "test")
+        with pytest.raises(AssertionError, match="np.linalg called"):
+            solve_spd(-spd(n, 5), np.ones((n, 2)), "test")      # a failure falls back
+
+
+NOT_PD = "ctx: matrix is not positive definite (Matrix is not positive definite)"
+
+
+@pytest.mark.parametrize("S, B, raised", [
+    ([[1.0, 2.0], [2.0, 1.0]], [[1.0], [1.0]], NOT_PD),
+    ([[np.nan, 0.0], [0.0, 1.0]], [[1.0], [1.0]], None),
+    ([[2.0, 1.0], [1.0, 2.0]], [[np.inf], [1.0]], None),
+    ([[0.0, 0.0], [0.0, 0.0]], [[1.0], [1.0]], NOT_PD),
+    ([[1.0, 1.0], [1.0, 1.0]], [[1.0], [1.0]], NOT_PD),
+], ids=["indefinite S", "NaN in S", "inf in B", "zero S", "singular S"])
+def test_failures_as_np_linalg_without_warnings(S, B, raised):
+    # np.linalg returns NaN for a NaN in S and for an inf in B; the numpy
+    # path returns the same bits, and raises where it raises, warning of nothing
+    S, B = np.array(S), np.array(B)
+    got = outcome(lambda S, B: solve_spd(S, B, "ctx"), S, B)
+    if raised is None:
+        assert got == outcome(np_linalg_solve, S, B) and got[0] == B.shape
+        assert np.isnan(np.frombuffer(got[1])).all()
+    else:
+        assert got == (np.linalg.LinAlgError, raised)
+
+
+def test_steady_overflow_diverges_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=r"^steady-state LQR iteration diverged "
+                           r"\(residual inf after 512 iterations\)$"):
+            solve_dare_lqr(np.diag([2.0, 0.5]), [[0.0], [1.0]], np.eye(2), 1.0)
 
 
 COLD_RUN = """
