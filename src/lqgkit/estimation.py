@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import matvec, solve_spd, spectral_radius, symmetrize
 from .lqr import _steady_riccati
-from .model import LtvSystem, NoiseModel
+from .model import LtvSystem, NoiseModel, _freeze
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,7 @@ class Belief:
     """State estimate with its error covariance at tag = (k, l).
 
     cov is None for a fixed-gain (Luenberger) observer, which computes none.
+    Both are stored as read-only C-ordered copies (see `model._freeze`).
     """
 
     mean: np.ndarray
@@ -31,9 +32,9 @@ class Belief:
     tag: tuple[int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, dtype=float)))
+        object.__setattr__(self, "mean", np.atleast_1d(_freeze(self.mean)))
         if self.cov is not None:
-            object.__setattr__(self, "cov", np.atleast_2d(np.asarray(self.cov, dtype=float)))
+            object.__setattr__(self, "cov", np.atleast_2d(_freeze(self.cov)))
 
 
 class BeliefSequence(Sequence):
@@ -92,25 +93,39 @@ class SteadyStateEstimator:
     observer_spectral_radius: float
 
 
+# The mean recurrence, on one vector or every row of a stack: the step
+# functions and `_StackedPass` move every mean with these two.  The predictor
+# convention's innovation is y_k - C x_{k|k-1}, the filter's y - C x_{k+1|k}.
+
+def _advance(A, x, Bu, out=None):
+    """A x + B u for every row of x: the time update of states and means."""
+    return np.add(matvec(A, x), Bu, out=out)
+
+
+def _correct(prior, L, innovation, out=None):
+    """prior + L (y - C x) for every row of prior, given the innovation y - C x."""
+    return np.add(prior, matvec(L, innovation), out=out)
+
+
 def luenberger_step(A: np.ndarray, B: np.ndarray, C: np.ndarray, L: np.ndarray,
                     x_hat: np.ndarray, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Fixed-gain observer update: A x_hat + B u + L (y - C x_hat)."""
-    x_hat = np.atleast_1d(np.asarray(x_hat, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return A @ x_hat + B @ u + L @ (y - C @ x_hat)
+    """Fixed-gain observer update: A x_hat + B u + L (y - C x_hat), as a run does it."""
+    A, B, C, L = (np.atleast_2d(_freeze(M)) for M in (A, B, C, L))
+    x_hat, u, y = (np.atleast_1d(_freeze(v)) for v in (x_hat, u, y))
+    return _correct(_advance(A, x_hat, matvec(B, u)), L, y - matvec(C, x_hat))
 
 
 # Covariance kernels.  L_k and P never depend on the data, so the step
 # functions below and the whole-horizon schedules of `_EstimatorPlan` share
-# these; the means are propagated separately.
+# these; the means are propagated separately.  A gain comes back C-ordered,
+# as the plan stores it: L (y - C x) rounds differently on a transposed gain.
 
 def _predictor_gain(A, C, Qd, Rv, P):
-    """L_k and the Joseph-form P_{k+1|k} from P_{k|k-1}."""
+    """L_k (C-ordered) and the Joseph-form P_{k+1|k} from P_{k|k-1}."""
     PCt = P @ C.T
     S = C @ PCt + Rv
     # L = A PCt S^{-1}  <=>  S L^T = (A PCt)^T, S symmetric PD.
-    L = solve_spd(S, (A @ PCt).T, "predictor innovation covariance").T
+    L = np.ascontiguousarray(solve_spd(S, (A @ PCt).T, "predictor innovation covariance").T)
     ALC = A - L @ C
     return L, symmetrize(ALC @ P @ ALC.T + Qd + L @ Rv @ L.T)
 
@@ -121,10 +136,10 @@ def _time_update(A, Qd, P):
 
 
 def _filter_gain(C, Rv, P):
-    """L_k and the Joseph-form P_{k|k} from P_{k|k-1}."""
+    """L_k (C-ordered) and the Joseph-form P_{k|k} from P_{k|k-1}."""
     PCt = P @ C.T
     S = C @ PCt + Rv
-    L = solve_spd(S, PCt.T, "filter innovation covariance").T
+    L = np.ascontiguousarray(solve_spd(S, PCt.T, "filter innovation covariance").T)
     ILC = np.eye(P.shape[0]) - L @ C
     return L, symmetrize(ILC @ P @ ILC.T + L @ Rv @ L.T)
 
@@ -165,47 +180,36 @@ def _smoother_means(gains, updated: np.ndarray, predicted: np.ndarray) -> np.nda
 
 def predictor_step(A_k, B_k, C_k, Qd_k, Rv_k, belief: Belief, u_k, y_k
                    ) -> tuple[Belief, np.ndarray]:
-    """One Kalman predictor step from (k | k-1) to (k+1 | k).
+    """One Kalman predictor step from (k | k-1) to (k+1 | k), as `predictor_run` does it.
 
     L_k = A P C^T (C P C^T + Rv)^{-1}
     mean' = A x_hat + B u + L (y - C x_hat)
     cov'  = (A - L C) P (A - L C)^T + Qd + L Rv L^T   (symmetrized)
     """
-    A_k = np.atleast_2d(np.asarray(A_k, dtype=float))
-    B_k = np.atleast_2d(np.asarray(B_k, dtype=float))
-    C_k = np.atleast_2d(np.asarray(C_k, dtype=float))
-    Qd_k = np.atleast_2d(np.asarray(Qd_k, dtype=float))
-    Rv_k = np.atleast_2d(np.asarray(Rv_k, dtype=float))
-    u_k = np.atleast_1d(np.asarray(u_k, dtype=float))
-    y_k = np.atleast_1d(np.asarray(y_k, dtype=float))
+    A_k, B_k, C_k, Qd_k, Rv_k = (np.atleast_2d(_freeze(M)) for M in (A_k, B_k, C_k, Qd_k, Rv_k))
     L, cov = _predictor_gain(A_k, C_k, Qd_k, Rv_k, belief.cov)
-    mean = A_k @ belief.mean + B_k @ u_k + L @ (y_k - C_k @ belief.mean)
     k = belief.tag[0]
-    return Belief(mean=mean, cov=cov, tag=(k + 1, k)), L
+    return Belief(luenberger_step(A_k, B_k, C_k, L, belief.mean, u_k, y_k), cov, (k + 1, k)), L
 
 
 def filter_predict(A_prev, B_prev, Qd_prev, belief: Belief, u_prev) -> Belief:
-    """Time update from (k-1 | k-1) to (k | k-1)."""
-    A_prev = np.atleast_2d(np.asarray(A_prev, dtype=float))
-    B_prev = np.atleast_2d(np.asarray(B_prev, dtype=float))
-    Qd_prev = np.atleast_2d(np.asarray(Qd_prev, dtype=float))
-    u_prev = np.atleast_1d(np.asarray(u_prev, dtype=float))
-    mean = A_prev @ belief.mean + B_prev @ u_prev
+    """Time update from (k-1 | k-1) to (k | k-1), as `filter_run` does it."""
+    A_prev, B_prev, Qd_prev = (np.atleast_2d(_freeze(M)) for M in (A_prev, B_prev, Qd_prev))
+    mean = _advance(A_prev, belief.mean, matvec(B_prev, np.atleast_1d(_freeze(u_prev))))
     k = belief.tag[0]
     return Belief(mean=mean, cov=_time_update(A_prev, Qd_prev, belief.cov), tag=(k + 1, k))
 
 
 def filter_update(C_k, Rv_k, belief: Belief, y_k) -> tuple[Belief, np.ndarray]:
-    """Measurement update from (k | k-1) to (k | k), Joseph-form covariance.
+    """Measurement update from (k | k-1) to (k | k), Joseph-form covariance,
+    as `filter_run` does it.
 
     L_k = P C^T (C P C^T + Rv)^{-1}
     cov' = (I - L C) P (I - L C)^T + L Rv L^T
     """
-    C_k = np.atleast_2d(np.asarray(C_k, dtype=float))
-    Rv_k = np.atleast_2d(np.asarray(Rv_k, dtype=float))
-    y_k = np.atleast_1d(np.asarray(y_k, dtype=float))
+    C_k, Rv_k = np.atleast_2d(_freeze(C_k)), np.atleast_2d(_freeze(Rv_k))
     L, cov = _filter_gain(C_k, Rv_k, belief.cov)
-    mean = belief.mean + L @ (y_k - C_k @ belief.mean)
+    mean = _correct(belief.mean, L, np.atleast_1d(_freeze(y_k)) - matvec(C_k, belief.mean))
     k = belief.tag[0]
     return Belief(mean=mean, cov=cov, tag=(k, k)), L
 
@@ -296,12 +300,13 @@ class _StackedPass:
     true states x_k when the pass simulates them, then the estimate means
     of a plan (predictor convention x_{k|k-1}, filter x_{k|k}).  A
     recorded-data pass holds the means alone, a run without an estimator
-    the true states alone.  Each `step` applies A_k, and C_k when
-    measuring, to the whole block in one stacked product and adds the runs'
-    B_k u_k to every group, so each row is its own run's products bit for
-    bit.  Measurement k is taken at time k+1 on the filter convention, else
-    at time k, and fills slot k of `innovations` (S, N, p) and, on the
-    filter convention, of `predicted` (S, N, n) x_{k+1|k}.
+    the true states alone.  Each `step` advances the whole block with
+    `_advance`, applies C_k to it when measuring, and corrects the means
+    with `_correct`, one stacked product per matrix, so each row is its own
+    run's step functions bit for bit.  Measurement k is taken at time k+1
+    on the filter convention, else at time k, and fills slot k of
+    `innovations` (S, N, p) and, on the filter convention, of `predicted`
+    (S, N, n) x_{k+1|k}.
 
     `truth` is None for a recorded-data pass, or the runs' initial states
     (S, n), disturbances d (S, N, n) and measurement noise v (S, N, p), v
@@ -332,7 +337,7 @@ class _StackedPass:
         """Block k to block k+1, given the runs' B_k u_k (S, n) and, on a
         recorded-data pass, their measurements y (S, p)."""
         block, moved = self.rows[k], self.rows[k + 1]
-        np.add(matvec(self.A[k], block), Bu, out=moved)
+        _advance(self.A[k], block, Bu, out=moved)
         if self.simulated:
             np.add(moved[0], self.d[:, k], out=moved[0])
         if self.C is None:
@@ -345,7 +350,7 @@ class _StackedPass:
             estimate = moved[-1]
             if self.filter_convention:
                 self.predicted[:, k] = estimate
-            np.add(estimate, matvec(self.plan.gains[k], innovation), out=estimate)
+            _correct(estimate, self.plan.gains[k], innovation, out=estimate)
 
     def finish(self) -> np.ndarray | None:
         """After the last step: sets `states` and `means` (S, N+1, n), and
@@ -462,19 +467,13 @@ def solve_dare_estimator(A: np.ndarray, C: np.ndarray, Qd: np.ndarray, Rv: np.nd
     residual, and the spectral radius of A - L C.  A non-finite residual
     (P overflowed: (A, C) is not detectable) stops the iteration at once
     with ConvergenceError, and so does a residual stalled above tol (see
-    `lqr.solve_dare_lqr`).
+    `lqr.solve_dare_lqr`).  An innovation covariance that is not positive
+    definite raises LinAlgError naming it, with the solve's diagnostic.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    Qd = np.atleast_2d(np.asarray(Qd, dtype=float))
-    Rv = np.atleast_2d(np.asarray(Rv, dtype=float))
-    try:
-        P, K, iterations, residual = _steady_riccati(
-            A.T, C.T, Qd, Rv, np.eye(A.shape[0]), tol, max_iter, "estimator")
-    except np.linalg.LinAlgError as exc:  # the dual's gain solve factors the innovation covariance
-        raise np.linalg.LinAlgError(
-            f"estimator innovation covariance: matrix is not positive definite ({exc.__cause__})"
-        ) from exc.__cause__
-    L = K.T
+    A, C, Qd, Rv = (np.atleast_2d(_freeze(M)) for M in (A, C, Qd, Rv))
+    P, K, iterations, residual = _steady_riccati(
+        A.T, C.T, Qd, Rv, np.eye(A.shape[0]), tol, max_iter, "estimator",
+        "estimator innovation covariance")
+    L = np.ascontiguousarray(K.T)
     return SteadyStateEstimator(P=P, L=L, iterations=iterations, residual=residual,
                                 observer_spectral_radius=spectral_radius(A - L @ C))

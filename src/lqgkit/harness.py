@@ -40,6 +40,7 @@ from .model import (
     Trajectory,
     ValidationError,
     _field_violations,
+    _freeze,
     validate,
 )
 from .stochastic import GaussianStream, _predraw
@@ -60,6 +61,8 @@ class Scenario:
     sim_Qd / sim_Rv, when set, are the covariances the simulated truth
     actually uses while the estimator keeps believing noise.Qd / noise.Rv
     (the scaled-standard-normal convention of the estimation experiment).
+    x0, fixed_gain and luenberger_gain are stored as read-only C-ordered
+    copies (see `model._freeze`), so a run depends on their values alone.
     """
 
     system: LtvSystem
@@ -77,14 +80,10 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.x0 is not None:
-            object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
-        if self.fixed_gain is not None:
-            object.__setattr__(self, "fixed_gain",
-                               np.atleast_2d(np.asarray(self.fixed_gain, dtype=float)))
-        if self.luenberger_gain is not None:
-            object.__setattr__(self, "luenberger_gain",
-                               np.atleast_2d(np.asarray(self.luenberger_gain, dtype=float)))
+        for name, shaped in (("x0", np.atleast_1d), ("fixed_gain", np.atleast_2d),
+                             ("luenberger_gain", np.atleast_2d)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, shaped(_freeze(getattr(self, name))))
 
 
 @dataclass

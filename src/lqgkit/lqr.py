@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import ConvergenceError, solve_spd, spectral_radius, symmetrize
-from .model import LqrWeights, LtvSystem, MatrixSchedule, Trajectory
+from .model import LqrWeights, LtvSystem, MatrixSchedule, Trajectory, _freeze
 
 
 @dataclass(frozen=True)
@@ -76,14 +76,14 @@ def dre_step(A_k: np.ndarray, B_k: np.ndarray, Q_k: np.ndarray, R_k: np.ndarray,
     The inner matrix R_k + B_k^T P_next B_k is factorized, never inverted; a
     factorization failure signals a violated R > 0 precondition.
     """
-    return _dre_step(*(np.atleast_2d(np.asarray(M, dtype=float))
-                       for M in (A_k, B_k, Q_k, R_k, P_next)))
+    return _dre_step(*(np.atleast_2d(_freeze(M)) for M in (A_k, B_k, Q_k, R_k, P_next)))
 
 
-def _dre_step(A_k, B_k, Q_k, R_k, P_next):
-    """dre_step on 2-D float arrays, taken as they are."""
+def _dre_step(A_k, B_k, Q_k, R_k, P_next, context="LQR gain solve"):
+    """dre_step on 2-D float arrays, taken as they are; `context` names the
+    gain solve in its errors."""
     BtP = B_k.T @ P_next
-    K = solve_spd(R_k + BtP @ B_k, BtP @ A_k, "LQR gain solve")
+    K = solve_spd(R_k + BtP @ B_k, BtP @ A_k, context)
     A_cl = A_k - B_k @ K
     P = Q_k + K.T @ R_k @ K + A_cl.T @ P_next @ A_cl
     return K, symmetrize(P)
@@ -144,7 +144,8 @@ _STALL_WINDOW = 50
 _STALL_GATE = np.sqrt(np.finfo(float).eps)
 
 
-def _steady_riccati(A, B, Q, R, P, tol: float, max_iter: int, name: str):
+def _steady_riccati(A, B, Q, R, P, tol: float, max_iter: int, name: str,
+                    context="LQR gain solve"):
     """Fixed point of dre_step from P; returns (P, K, iterations, residual).
 
     A, B, Q, R and P are 2-D float arrays, taken as they are.  Stops when
@@ -153,8 +154,9 @@ def _steady_riccati(A, B, Q, R, P, tol: float, max_iter: int, name: str):
     reached, and so does a stall: a residual that has set no new minimum
     for _STALL_WINDOW iterations and is at most _STALL_GATE max|P|, so it
     sits at its rounding floor above tol.  `name` labels the solver in its
-    message.  A tol that is not a finite number >= 0, or a max_iter below
-    1, raises ValueError before any iteration.
+    messages, `context` its gain solve in a LinAlgError.  A tol that is not
+    a finite number >= 0, or a max_iter below 1, raises ValueError before
+    any iteration.
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
@@ -163,13 +165,13 @@ def _steady_riccati(A, B, Q, R, P, tol: float, max_iter: int, name: str):
     residual, best, best_it = np.inf, np.inf, 0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         for it in range(1, max_iter + 1):
-            K, P_new = _dre_step(A, B, Q, R, P)
+            K, P_new = _dre_step(A, B, Q, R, P, context)
             residual = float(np.max(np.abs(P_new - P)))
             P = P_new
             if not np.isfinite(residual):
                 raise ConvergenceError(f"steady-state {name} iteration diverged", residual, it)
             if residual <= tol:
-                K, _ = _dre_step(A, B, Q, R, P)
+                K, _ = _dre_step(A, B, Q, R, P, context)
                 return P, K, it, residual
             if residual < best:
                 best, best_it = residual, it
@@ -212,10 +214,7 @@ def solve_dare_lqr(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
     and a residual stalled at its rounding floor above tol raises it
     _STALL_WINDOW iterations after its best.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
+    A, B, Q, R = (np.atleast_2d(_freeze(M)) for M in (A, B, Q, R))
     P, K, iterations, residual = _steady_riccati(A, B, Q, R, Q, tol, max_iter, "LQR")
     return SteadyStateLqr(P=P, K=K, iterations=iterations, residual=residual,
                           closed_loop_spectral_radius=spectral_radius(A - B @ K))

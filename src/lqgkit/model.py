@@ -24,8 +24,10 @@ class ValidationError(ValueError):
         self.violations = violations
 
 
-def _freeze(M: np.ndarray) -> np.ndarray:
-    M = np.array(M, dtype=float)
+def _freeze(M) -> np.ndarray:
+    """A read-only C-ordered float copy of M, the one layout every run reads:
+    a matrix-vector product rounds differently on a Fortran-ordered matrix."""
+    M = np.array(M, dtype=float, order="C")
     M.flags.writeable = False
     return M
 
@@ -124,20 +126,8 @@ class LtvSystem:
 
     @classmethod
     def lti(cls, A, B, C=None, *, horizon: int) -> "LtvSystem":
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        C_sched = None
-        p = 0
-        if C is not None:
-            C = np.atleast_2d(np.asarray(C, dtype=float))
-            C_sched = MatrixSchedule.constant(C, horizon)
-            p = C.shape[0]
-        return cls(
-            n=A.shape[0], m=B.shape[1], p=p, N=horizon,
-            A=MatrixSchedule.constant(A, horizon),
-            B=MatrixSchedule.constant(B, horizon),
-            C=C_sched,
-        )
+        return cls.from_schedules(*(None if M is None else MatrixSchedule.constant(M, horizon)
+                                    for M in (A, B, C)), horizon=horizon)
 
     @classmethod
     def from_schedules(cls, A, B, C=None, *, horizon: int) -> "LtvSystem":
@@ -179,8 +169,8 @@ class NoiseModel:
     P0: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x0_mean", _freeze(np.atleast_1d(np.asarray(self.x0_mean, float))))
-        object.__setattr__(self, "P0", _freeze(np.atleast_2d(np.asarray(self.P0, float))))
+        object.__setattr__(self, "x0_mean", np.atleast_1d(_freeze(self.x0_mean)))
+        object.__setattr__(self, "P0", np.atleast_2d(_freeze(self.P0)))
 
     @classmethod
     def constant(cls, Qd, Rv, x0_mean, P0, *, horizon: int) -> "NoiseModel":

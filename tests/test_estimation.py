@@ -19,9 +19,11 @@ from conftest import (
 from lqgkit import (
     Belief,
     ConvergenceError,
+    EstimatorRun,
     GaussianStream,
     GaussianVector,
     JointGaussian,
+    Scenario,
     condition,
     filter_predict,
     filter_run,
@@ -33,7 +35,8 @@ from lqgkit import (
     solve_dare_estimator,
     solve_dare_lqr,
 )
-from lqgkit import estimation, parse_scenario
+from lqgkit import estimation, harness, parse_scenario
+from lqgkit.estimation import BeliefSequence
 from lqgkit._linalg import solve_spd, symmetrize
 from lqgkit.model import LtvSystem, MatrixSchedule, NoiseModel
 
@@ -396,12 +399,9 @@ class TestPredictorRun:
         assert [b.tag for b in run.predicted] == [(k, k - 1) for k in range(N + 1)]
 
 
-@pytest.mark.parametrize("n, m, p, N", [(1, 1, 1, 4), (3, 2, 2, 9), (6, 3, 3, 12)])
-def test_recorded_runs_equal_one_vector_products(n, m, p, N):
-    # every schedule time-varying: the recorded runs' B_k u_k, formed for all
-    # k in one stacked product, and their means equal one-vector products
-    # with the runs' own gains bit for bit
-    rng = np.random.default_rng([n, m, p, N])
+def recorded_ltv(rng, n, m, p, N):
+    """A model with every schedule time-varying, and random recorded inputs
+    (N, m) and measurements (N, p)."""
     system = LtvSystem.from_schedules([rng.standard_normal((n, n)) for _ in range(N)],
                                       [rng.standard_normal((n, m)) for _ in range(N)],
                                       [rng.standard_normal((p, n)) for _ in range(N)],
@@ -409,7 +409,16 @@ def test_recorded_runs_equal_one_vector_products(n, m, p, N):
     noise = NoiseModel(Qd=MatrixSchedule.of([random_psd(rng, n) for _ in range(N)]),
                        Rv=MatrixSchedule.of([random_psd(rng, p) for _ in range(N)]),
                        x0_mean=rng.standard_normal(n), P0=random_psd(rng, n))
-    inputs, measurements = rng.standard_normal((N, m)), rng.standard_normal((N, p))
+    return system, noise, rng.standard_normal((N, m)), rng.standard_normal((N, p))
+
+
+@pytest.mark.parametrize("n, m, p, N", [(1, 1, 1, 4), (3, 2, 2, 9), (6, 3, 3, 12)])
+def test_recorded_runs_equal_one_vector_products(n, m, p, N):
+    # every schedule time-varying: the recorded runs' B_k u_k, formed for all
+    # k in one stacked product, and their means equal one-vector products
+    # with the runs' own gains bit for bit
+    system, noise, inputs, measurements = recorded_ltv(np.random.default_rng([n, m, p, N]),
+                                                       n, m, p, N)
     filtered = filter_run(system, noise, inputs, measurements)
     predicted = predictor_run(system, noise, inputs, measurements)
     updated = predicting = noise.x0_mean
@@ -424,6 +433,94 @@ def test_recorded_runs_equal_one_vector_products(n, m, p, N):
         assert same(filtered.innovations[k], innovation)
         assert same(filtered.updated[k + 1].mean, updated)
         assert same(predicted.predicted[k + 1].mean, predicting)
+
+
+# Random LTV models, three of each output count p: before the gains were
+# C-ordered, the step functions rounded differently from the runs at p >= 2.
+STEPPED_MODELS = [(seed, 3, 2, p, 9) for p in (1, 2, 3) for seed in range(3)]
+
+
+class TestStepFunctionsAreOneStepOfTheRuns:
+    """A loop of the public step functions is a run, byte for byte, at every p."""
+
+    @pytest.mark.parametrize("model", STEPPED_MODELS, ids=lambda m: "-".join(map(str, m)))
+    def test_filter_and_smoother(self, model):
+        seed, n, m, p, N = model
+        system, noise, inputs, measurements = recorded_ltv(np.random.default_rng(model),
+                                                           n, m, p, N)
+        filtered = filter_run(system, noise, inputs, measurements)
+        belief = Belief(noise.x0_mean, noise.P0, (0, 0))
+        priors, beliefs, gains = [], [belief], []
+        for k in range(N):
+            priors.append(filter_predict(system.A[k], system.B[k], noise.Qd[k], belief,
+                                         inputs[k]))
+            belief, L = filter_update(system.C[k], noise.Rv[k], priors[-1], measurements[k])
+            beliefs.append(belief)
+            gains.append(L)
+        for ran, stepped in ((filtered.predicted, priors), (filtered.updated, beliefs)):
+            assert [b.tag for b in ran] == [b.tag for b in stepped]
+            assert same(ran.means, [b.mean for b in stepped])
+            assert same(ran.covs, [b.cov for b in stepped])
+        assert same(filtered.gains, gains)
+        stepped_run = EstimatorRun(
+            BeliefSequence(np.array([b.mean for b in priors]),
+                           np.array([b.cov for b in priors]), 1, -1),
+            BeliefSequence(np.array([b.mean for b in beliefs]),
+                           np.array([b.cov for b in beliefs]), 0, 0),
+            None, np.array(gains), filtered.innovations)
+        smoothed, stepped_smoothed = (smoother_run(system, noise, r)
+                                      for r in (filtered, stepped_run))
+        assert same(smoothed.smoothed.means, stepped_smoothed.smoothed.means)
+        assert same(smoothed.smoothed.covs, stepped_smoothed.smoothed.covs)
+        assert same(smoothed.gains, stepped_smoothed.gains)
+
+    @pytest.mark.parametrize("model", STEPPED_MODELS, ids=lambda m: "-".join(map(str, m)))
+    def test_predictor(self, model):
+        seed, n, m, p, N = model
+        system, noise, inputs, measurements = recorded_ltv(np.random.default_rng(model),
+                                                           n, m, p, N)
+        predicted = predictor_run(system, noise, inputs, measurements)
+        beliefs, gains = [Belief(noise.x0_mean, noise.P0, (0, -1))], []
+        for k in range(N):
+            belief, L = predictor_step(system.A[k], system.B[k], system.C[k], noise.Qd[k],
+                                       noise.Rv[k], beliefs[-1], inputs[k], measurements[k])
+            beliefs.append(belief)
+            gains.append(L)
+        assert [b.tag for b in predicted.predicted] == [b.tag for b in beliefs]
+        assert same(predicted.predicted.means, [b.mean for b in beliefs])
+        assert same(predicted.predicted.covs, [b.cov for b in beliefs])
+        assert same(predicted.gains, gains)
+
+    @pytest.mark.parametrize("model", STEPPED_MODELS, ids=lambda m: "-".join(map(str, m)))
+    def test_luenberger(self, model):
+        # the gain is handed to the steps in Fortran order, to the runs in
+        # both orders: the result depends on its values alone
+        seed, n, m, p, N = model
+        rng = np.random.default_rng(model)
+        system, noise, _, _ = recorded_ltv(rng, n, m, p, N)
+        gain = 0.3 * rng.standard_normal((n, p))
+        scenario = Scenario(system, noise=noise, controller="fixed",
+                            fixed_gain=0.3 * rng.standard_normal((m, n)),
+                            estimator="luenberger", luenberger_gain=gain, feedback="estimate",
+                            seed=seed)
+        runs = [harness.run(replace(scenario, luenberger_gain=g)).trajectory
+                for g in (gain, np.asfortranarray(gain))]
+        assert same(runs[0].estimates, runs[1].estimates)
+        traj, mean = runs[0], noise.x0_mean
+        for k in range(N):
+            mean = luenberger_step(system.A[k], system.B[k], system.C[k],
+                                   np.asfortranarray(gain), mean, traj.inputs[k],
+                                   traj.outputs[k])
+            assert same(traj.estimates[k + 1], mean)
+
+    def test_gains_are_c_ordered(self):
+        A, C = np.diag([0.5, 0.8, 0.9]), np.ones((2, 3))
+        assert solve_dare_estimator(A, C, np.eye(3), np.eye(2)).L.flags.c_contiguous
+        belief = Belief(np.zeros(3), np.eye(3), (0, 0))
+        assert filter_update(C, np.eye(2), belief, np.zeros(2))[1].flags.c_contiguous
+        _, L = predictor_step(A, np.ones((3, 1)), C, np.eye(3), np.eye(2), belief, [0.0],
+                              np.zeros(2))
+        assert L.flags.c_contiguous
 
 
 class TestPlanMemo:
@@ -693,6 +790,16 @@ class TestSolveDareEstimator:
             solve_dare_estimator(np.diag([2.0, 0.5]), [[0.0, 1.0]], np.eye(2), 1.0)
         assert excinfo.value.iterations < 100_000
         assert not np.isfinite(excinfo.value.residual)
+
+    @pytest.mark.parametrize("p, diagnostic", [
+        (2, "Matrix is not positive definite"),         # numpy's Cholesky
+        (9, "leading minor 2 is not positive"),          # LAPACK, above order 8
+    ])
+    def test_indefinite_innovation_names_the_solve_diagnostic(self, p, diagnostic):
+        with pytest.raises(np.linalg.LinAlgError) as excinfo:
+            solve_dare_estimator(0.5 * np.eye(3), np.ones((p, 3)), np.eye(3), -np.eye(p))
+        assert str(excinfo.value) == ("estimator innovation covariance: matrix is not "
+                                      f"positive definite ({diagnostic})")
 
     def test_errors_name_the_estimator(self):
         # solved as the dual LQR problem, yet its errors name the estimator

@@ -9,7 +9,7 @@ to Tracking and Navigation, 2001, sec. 5.4).
 """
 import itertools
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 
 import numpy as np
@@ -24,6 +24,7 @@ from lqgkit import (
     LqrWeights,
     LtvSystem,
     MatrixSchedule,
+    MonteCarloResult,
     NoiseModel,
     Scenario,
     SweepPoint,
@@ -35,6 +36,7 @@ from lqgkit import (
     run,
     sample_gaussian,
     simulate_closed_loop,
+    solve_dare_estimator,
     solve_lqr,
     sweep,
 )
@@ -194,6 +196,68 @@ def test_stacked_pass_equals_one_vector_products(config):
             if estimator != "none":
                 assert same(stacked.estimates[s], means)
             assert stacked.costs[s] == cost
+
+
+def fortran_ordered(s: Scenario) -> Scenario:
+    """s with every matrix handed over in Fortran order and every vector strided."""
+    def matrices(sched):
+        return MatrixSchedule(np.asfortranarray(sched.distinct()), len(sched))
+
+    def strided(v):
+        return None if v is None else np.repeat(v, 2)[::2]
+    system, weights, noise = s.system, s.weights, s.noise
+    return replace(
+        s, system=replace(system, A=matrices(system.A), B=matrices(system.B),
+                          C=matrices(system.C)),
+        weights=LqrWeights(Q=matrices(weights.Q), R=matrices(weights.R)),
+        noise=NoiseModel(Qd=matrices(noise.Qd), Rv=matrices(noise.Rv),
+                         x0_mean=strided(noise.x0_mean), P0=np.asfortranarray(noise.P0)),
+        fixed_gain=np.asfortranarray(s.fixed_gain),
+        luenberger_gain=np.asfortranarray(s.luenberger_gain), x0=strided(s.x0))
+
+
+def layout_cases():
+    """Every accepted configuration on an LTV model, and a steady controller
+    with the steady observer gain on an LTI one."""
+    cases = []
+    for dims in ((3, 2, 2, 6), (6, 3, 3, 8)):
+        base = ltv_scenario(sum(dims), *dims)
+        for config in itertools.product(CONTROLLERS, ESTIMATORS, FEEDBACK, (True, False)):
+            scenario = replace(base, **dict(zip(("controller", "estimator", "feedback"),
+                                                config)))
+            scenario = scenario if config[3] else replace(scenario, x0=None)
+            if not _config_violations(scenario):
+                cases.append(pytest.param(scenario, id="-".join(map(str, dims + config))))
+    lti = ltv_scenario(1, 3, 2, 2, 1)
+    A, B, C = (np.array([[0.5, 0.2, 0.0], [-1.0, 1.2, 0.3], [0.0, 0.4, 0.9]]),
+               lti.system.B[0], lti.system.C[0])
+    steady = replace(lti, system=LtvSystem.lti(A, B, C, horizon=20),
+                     weights=LqrWeights.constant(np.eye(3), np.eye(2), horizon=20),
+                     noise=NoiseModel.constant(np.eye(3), np.eye(2), lti.noise.x0_mean,
+                                               lti.noise.P0, horizon=20),
+                     controller="steady", estimator="luenberger", feedback="estimate",
+                     luenberger_gain=solve_dare_estimator(A, C, np.eye(3), np.eye(2)).L)
+    return cases + [pytest.param(steady, id="steady-luenberger-estimate")]
+
+
+@pytest.mark.parametrize("scenario", layout_cases())
+def test_results_depend_on_values_not_layout(scenario):
+    # a run reads every matrix in C order, whatever order it was given in
+    fortran = fortran_ordered(scenario)
+    for given in (fortran.x0, fortran.fixed_gain, fortran.luenberger_gain):
+        assert given is None or (given.flags.c_contiguous and not given.flags.writeable)
+    seeds = [0, 5, 2**40]
+    ours, theirs = monte_carlo(scenario, seeds), monte_carlo(fortran, seeds)
+    for field in fields(MonteCarloResult):
+        a, b = getattr(ours, field.name), getattr(theirs, field.name)
+        assert a == b if field.name in ("seeds", "settling") else same(a, b), field.name
+    ours, theirs = run(scenario).estimator_run, run(fortran).estimator_run
+    if ours is not None:
+        for beliefs in ("predicted", "updated", "smoothed"):
+            a, b = getattr(ours, beliefs), getattr(theirs, beliefs)
+            if a is not None:
+                assert same(a.means, b.means) and same(a.covs, b.covs), beliefs
+        assert same(ours.gains, theirs.gains) and same(ours.innovations, theirs.innovations)
 
 
 class TestMonteCarlo:
