@@ -188,19 +188,22 @@ def spectral_radius(M: np.ndarray) -> float:
 
 
 def psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Factor S with S S^T = cov for symmetric PSD cov.
+    """Factor S with S S^T = cov for symmetric PSD cov, or for each entry of
+    an (E, n, n) stack.
 
     Cholesky when cov is numerically PD; falls back to an eigendecomposition
     square root for semidefinite inputs (singular disturbance covariances are
-    legitimate).  Raises LinAlgError on indefinite input.
+    legitimate).  Raises LinAlgError on indefinite input.  One stacked
+    Cholesky factors a stack of definite entries, each as it would be on its
+    own; only a semidefinite entry makes a stack go entry by entry.
     """
-    n = cov.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
+    if cov.shape[-1] == 0:
+        return np.zeros(cov.shape)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        pass
+        if cov.ndim == 3:
+            return np.array([psd_factor(M) for M in cov])
     w, V = np.linalg.eigh(symmetrize(cov))
     if w.min() < -DEFINITENESS_TOL * max(1.0, abs(w.max())):
         raise np.linalg.LinAlgError(

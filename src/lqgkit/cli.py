@@ -18,10 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from ._linalg import ConvergenceError
-from .harness import RunResult, Scenario, _steady_violations, _violations, run, sweep
+from .harness import (RunResult, Scenario, _steady_violations, _violations, _with_horizon, run,
+                      sweep)
 from .lqr import solve_dare_lqr, solve_lqr
 from .model import ValidationError, validate
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, load_scenario, parse_scenario
 
 _MODE_TO_ESTIMATOR = {"predict": "predictor", "filter": "filter", "smooth": "smoother"}
 
@@ -71,11 +72,13 @@ def _write_table(path: Path, blocks) -> None:
     _write_csv(path, header, ([cell for part in row for cell in part] for row in zip(*columns)))
 
 
+def _seeded(scenario: Scenario, args) -> Scenario:
+    """The scenario with the command line's --seed, when one is given."""
+    return scenario if args.seed is None else replace(scenario, seed=args.seed)
+
+
 def _load(args) -> Scenario:
-    scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-    return scenario
+    return _seeded(load_scenario(args.scenario), args)
 
 
 def _stem(args) -> str:
@@ -191,15 +194,11 @@ def _cmd_sweep(args) -> int:
 
 def _bundled_scenario(name: str) -> Scenario:
     text = (resources.files("lqgkit") / "scenarios" / f"{name}.scn").read_text(encoding="utf-8")
-    from .scenario import parse_scenario
     return parse_scenario(text)
 
 
 def _reproduce_fig1(args) -> int:
-    from .harness import _with_horizon
-    base = _bundled_scenario("fig1")
-    if args.seed is not None:
-        base = replace(base, seed=args.seed)
+    base = _seeded(_bundled_scenario("fig1"), args)
     outdir = Path(args.output)
     costs = {}
     for N in (5, 50):
@@ -224,9 +223,7 @@ def _reproduce_fig1(args) -> int:
 
 
 def _reproduce_fig4(args) -> int:
-    base = _bundled_scenario("fig4")
-    if args.seed is not None:
-        base = replace(base, seed=args.seed)
+    base = _seeded(_bundled_scenario("fig4"), args)
     outdir = Path(args.output)
     for mode, estimator in _MODE_TO_ESTIMATOR.items():
         result = run(replace(base, estimator=estimator), tol=args.tol, max_iter=args.max_iter)
@@ -234,8 +231,7 @@ def _reproduce_fig4(args) -> int:
         _estimator_csv(result, mode, path)
         trace = np.trace(result.trajectory.covariances[-1])
         print(f"{estimator}: terminal covariance trace {trace:.6g} -> {path}")
-    print(f"seed {base.seed if args.seed is None else args.seed}; "
-          "covariance ordering: smoother <= filter <= predictor")
+    print(f"seed {base.seed}; covariance ordering: smoother <= filter <= predictor")
     return 0
 
 
@@ -322,10 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ScenarioError, ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, np.linalg.LinAlgError, ValueError, OSError) as exc:

@@ -391,9 +391,12 @@ _last_plan = (None, None, None, None)
 def _estimate(kind: str, system: LtvSystem, noise: NoiseModel, inputs, measurements
               ) -> EstimatorRun:
     """One stacked pass of a `kind` plan over recorded inputs (N, m) and
-    measurements (N, p); ValueError naming the argument on any other shape.
-    Consecutive calls on one (system, noise) share the plan."""
+    measurements (N, p); ValueError naming the argument on any other shape,
+    or naming C on a system without one.  Consecutive calls on one
+    (system, noise) share the plan."""
     global _last_plan
+    if system.C is None:
+        raise ValueError("system must have a measurement matrix C, got None")
     recorded = []
     for name, value, width in (("inputs", inputs, "m"), ("measurements", measurements, "p")):
         value = np.asarray(value, dtype=float)

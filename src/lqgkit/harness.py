@@ -209,18 +209,6 @@ def _controller_gains(s: Scenario, tol: float, max_iter: int
     return MatrixSchedule.constant(steady.K, s.system.N), None
 
 
-def _factors(sched: MatrixSchedule) -> np.ndarray:
-    """psd_factor of each distinct entry, (E, n, n) like `sched.distinct()`.
-
-    One stacked Cholesky factors a schedule of definite entries, each as
-    psd_factor would; only a semidefinite entry makes it go entry by entry.
-    """
-    try:
-        return np.linalg.cholesky(sched.distinct())
-    except np.linalg.LinAlgError:
-        return np.array([psd_factor(M) for M in sched.distinct()])
-
-
 @dataclass(frozen=True)
 class _Plan:
     """The seed-independent half of a run, built once per scenario.
@@ -254,9 +242,9 @@ def _plan(s: Scenario, tol: float, max_iter: int) -> _Plan:
     if noise is not None:
         if s.x0 is None and s.x0_std is None:
             x0_factor = psd_factor(noise.P0)
-        d_factors = _factors(s.sim_Qd if s.sim_Qd is not None else noise.Qd)
+        d_factors = psd_factor((s.sim_Qd if s.sim_Qd is not None else noise.Qd).distinct())
         if s.system.p > 0:
-            v_factors = _factors(s.sim_Rv if s.sim_Rv is not None else noise.Rv)
+            v_factors = psd_factor((s.sim_Rv if s.sim_Rv is not None else noise.Rv).distinct())
     estimator = None
     if s.estimator != "none":
         estimator = _EstimatorPlan(s.estimator, s.system, noise, s.luenberger_gain)
@@ -412,7 +400,8 @@ def _sweep_value(axis: str, value) -> int | float:
     N and seed values are read without a float round trip, so large seeds
     stay exact: strings must be integer literals.  A seed must otherwise be
     an integer by `Scenario.seed`'s rule (not a bool, not a float); N may
-    also be an integral number.  N must be positive and seeds non-negative.
+    also be an integral number, but not a bool.  N must be positive and
+    seeds non-negative.
     """
     if axis not in ("N", "seed"):
         return float(value)
@@ -422,7 +411,8 @@ def _sweep_value(axis: str, value) -> int | float:
             exact = int(value)
         except ValueError:
             pass
-    elif axis == "N" and isinstance(value, numbers.Real) and float(value).is_integer():
+    elif (axis == "N" and isinstance(value, numbers.Real) and not isinstance(value, bool)
+          and float(value).is_integer()):
         exact = int(value)
     if exact is None:
         raise ValidationError([f"{axis} sweep value {value!r} is not an integer"])

@@ -274,15 +274,9 @@ def _settling_reports(solution: RiccatiSolution, xs: np.ndarray,
     settled = np.linalg.norm(xs, axis=2) <= eps[:, None]
     after = np.logical_and.accumulate(settled[:, ::-1], axis=1)[:, ::-1]
     k_x = np.where(after.any(axis=1), after.argmax(axis=1), N)
-    # k_K: the last j of the leading run of gains within eps of K_0 (0 if none);
-    # the drift of K_j from K_0 is needed only up to the first j past every eps.
-    K0, drift = solution.K[0], []
-    limit = np.fmax.reduce(eps, initial=-np.inf)        # a nan eps settles nothing
-    for K in solution.K:
-        drift.append(np.abs(K - K0).max())
-        if not drift[-1] <= limit:
-            break
-    within = np.array(drift)[None, :] <= eps[:, None]
+    # k_K: the last j of the leading run of gains within eps of K_0 (0 if none).
+    K = solution.K.stack
+    within = np.abs(K - K[0]).max(axis=(1, 2))[None, :] <= eps[:, None]
     leading = np.where(within.all(axis=1), N, within.argmin(axis=1))
     k_K = np.maximum(leading - 1, 0)
     return [SettlingReport(k_x=int(a), k_K=int(b), epsilon=float(e))

@@ -25,16 +25,14 @@ def _fail(field: str, message: str):
     raise ScenarioError(f"{field}: {message}")
 
 
-def _require_mapping(value, field: str) -> dict:
+def _section(value, field: str, allowed: tuple[str, ...]) -> dict:
+    """A section of the file: a mapping whose keys are all in `allowed`."""
     if not isinstance(value, dict):
         _fail(field, f"expected a mapping of keys, got {type(value).__name__}")
-    return value
-
-
-def _check_keys(section: dict, field: str, allowed: tuple[str, ...]):
-    for key in section:
+    for key in value:
         if key not in allowed:
             _fail(f"{field}.{key}", f"unknown key (allowed: {', '.join(allowed)})")
+    return value
 
 
 def _depth(value) -> int:
@@ -94,19 +92,16 @@ def parse_scenario(text: str) -> Scenario:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
         raise ScenarioError(f"scenario is not valid YAML{where}: {exc}") from exc
-    doc = _require_mapping(doc, "scenario")
-    _check_keys(doc, "scenario", ("system", "weights", "noise", "truth", "run"))
+    doc = _section(doc, "scenario", ("system", "weights", "noise", "truth", "run"))
 
     for required in ("run", "system"):
         if required not in doc:
             _fail(required, "section is required")
-    run_sec = _require_mapping(doc["run"], "run")
-    _check_keys(run_sec, "run", ("N", "seed", "controller", "fixed_gain", "estimator",
-                                 "luenberger_gain", "feedback", "x0"))
+    run_sec = _section(doc["run"], "run", ("N", "seed", "controller", "fixed_gain", "estimator",
+                                          "luenberger_gain", "feedback", "x0"))
     N = _positive_int(run_sec.get("N"), "run.N")
 
-    sys_sec = _require_mapping(doc["system"], "system")
-    _check_keys(sys_sec, "system", ("A", "B", "C"))
+    sys_sec = _section(doc["system"], "system", ("A", "B", "C"))
     if "A" not in sys_sec:
         _fail("system.A", "matrix is required")
     if "B" not in sys_sec:
@@ -119,8 +114,7 @@ def parse_scenario(text: str) -> Scenario:
 
     weights = None
     if "weights" in doc:
-        w = _require_mapping(doc["weights"], "weights")
-        _check_keys(w, "weights", ("Q", "R"))
+        w = _section(doc["weights"], "weights", ("Q", "R"))
         if "Q" not in w or "R" not in w:
             _fail("weights", "both Q and R are required")
         weights = LqrWeights(Q=_schedule(w["Q"], "weights.Q", N + 1),
@@ -128,8 +122,7 @@ def parse_scenario(text: str) -> Scenario:
 
     noise = None
     if "noise" in doc:
-        nz = _require_mapping(doc["noise"], "noise")
-        _check_keys(nz, "noise", ("Qd", "Rv", "P0", "x0_mean"))
+        nz = _section(doc["noise"], "noise", ("Qd", "Rv", "P0", "x0_mean"))
         for key in ("Qd", "P0", "x0_mean"):
             if key not in nz:
                 _fail(f"noise.{key}", "field is required")
@@ -145,8 +138,7 @@ def parse_scenario(text: str) -> Scenario:
     sim_Qd = sim_Rv = None
     x0_std = None
     if "truth" in doc:
-        tr = _require_mapping(doc["truth"], "truth")
-        _check_keys(tr, "truth", ("Qd", "Rv", "x0_std"))
+        tr = _section(doc["truth"], "truth", ("Qd", "Rv", "x0_std"))
         if "Qd" in tr:
             sim_Qd = _schedule(tr["Qd"], "truth.Qd", N)
         if "Rv" in tr:

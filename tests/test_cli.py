@@ -1,5 +1,6 @@
 import csv
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -289,6 +290,16 @@ class TestReproduceCommand:
         assert main(["reproduce", "fig4", "--output", str(out_b)]) == 0
         for name in ("fig4_predictor.csv", "fig4_filter.csv", "fig4_smoother.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_fig4_seed_flag(self, tmp_path, capsys):
+        # the flag reaches the runs and the summary line, as --seed does for `estimate`
+        scn = resources.files("lqgkit") / "scenarios" / "fig4.scn"
+        assert main(["reproduce", "fig4", "--seed", "3", "--output", str(tmp_path / "a")]) == 0
+        assert "\nseed 3; covariance ordering" in capsys.readouterr().out
+        assert main(["estimate", str(scn), "--mode", "filter", "--seed", "3",
+                     "--output", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "fig4_filter.csv").read_bytes() == \
+            (tmp_path / "b" / "fig4_filter.csv").read_bytes()
 
     @pytest.mark.parametrize("figure", ["fig1", "fig4"])
     def test_negative_seed_exit_2(self, tmp_path, capsys, figure):

@@ -338,6 +338,13 @@ def test_recorded_shapes_checked(estimator, inputs, measurements, message):
         estimator(bench_system(5, with_output=True), bench_noise(5), inputs, measurements)
 
 
+@pytest.mark.parametrize("estimator", [filter_run, predictor_run])
+def test_recorded_data_needs_a_measurement_matrix(estimator):
+    noise = bench_noise(5, Rv=np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=r"^system must have a measurement matrix C, got None$"):
+        estimator(bench_system(5), noise, np.zeros((5, 1)), np.zeros((5, 0)))
+
+
 class TestBeliefSequence:
     """A run's beliefs read from its stacked arrays as a read-only list would."""
 

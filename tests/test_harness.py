@@ -37,7 +37,7 @@ from lqgkit import (
 )
 from lqgkit.cli import _bundled_scenario
 from lqgkit._linalg import psd_factor
-from lqgkit.harness import (CONTROLLERS, ESTIMATORS, FEEDBACK, _config_violations, _factors,
+from lqgkit.harness import (CONTROLLERS, ESTIMATORS, FEEDBACK, _config_violations,
                              _violations)
 from lqgkit.model import MatrixSchedule
 
@@ -444,9 +444,9 @@ class TestSweep:
         assert same(a.trajectory.states, b.trajectory.states)
 
     @pytest.mark.parametrize("axis, value", [("seed", 1.5), ("N", 5.7), ("seed", "1.5"),
-                                             ("seed", 3.0), ("seed", True)],
+                                             ("seed", 3.0), ("seed", True), ("N", True)],
                              ids=["seed-float", "N-float", "seed-text", "seed-integral-float",
-                                  "seed-bool"])
+                                  "seed-bool", "N-bool"])
     def test_non_integral_value_rejected(self, axis, value):
         with pytest.raises(ValidationError, match=f"{axis} sweep value {value!r} is not an integer"):
             sweep(fig4_scenario(), axis, [value])
@@ -500,7 +500,15 @@ def test_factors_equal_psd_factor_of_each_entry(case):
     if case == "semidefinite":
         entries[4] = np.diag([1.0, 0.0, 2.0])
     sched = MatrixSchedule(entries[:1], 6) if case == "constant" else MatrixSchedule(entries)
-    assert same(_factors(sched), np.array([psd_factor(M) for M in sched.distinct()]))
+    factors = psd_factor(sched.distinct())
+    assert factors.shape == sched.distinct().shape
+    assert same(factors, np.array([psd_factor(M) for M in sched.distinct()]))
+
+
+def test_factor_stack_rejects_an_indefinite_entry():
+    entries = np.array([np.eye(3), np.diag([1.0, 0.0, 2.0]), np.diag([1.0, -1.0, 2.0])])
+    with pytest.raises(np.linalg.LinAlgError, match="covariance is indefinite"):
+        psd_factor(entries)
 
 
 NOISE_FREE_RUN = """

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from importlib import resources
@@ -53,6 +54,17 @@ run:
   feedback: true_state
   x0: sampled
 """
+
+# every section of a scenario file and its keys, in the order parsing reads them
+SECTION_KEYS = {
+    "scenario": ("system", "weights", "noise", "truth", "run"),
+    "run": ("N", "seed", "controller", "fixed_gain", "estimator", "luenberger_gain",
+            "feedback", "x0"),
+    "system": ("A", "B", "C"),
+    "weights": ("Q", "R"),
+    "noise": ("Qd", "Rv", "P0", "x0_mean"),
+    "truth": ("Qd", "Rv", "x0_std"),
+}
 
 
 def bundled(name):
@@ -153,6 +165,37 @@ class TestDiagnostics:
         text = FULL.replace("  Rv: [[1.0]]\n", "", 1)
         with pytest.raises(ScenarioError, match="noise.Rv"):
             parse_scenario(text)
+
+    @pytest.mark.parametrize("section", SECTION_KEYS)
+    def test_section_must_be_a_mapping(self, section):
+        doc = yaml.safe_load(FULL)
+        if section == "scenario":
+            doc = [doc]
+        else:
+            doc[section] = [1.0]
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(yaml.safe_dump(doc))
+        assert str(info.value) == f"{section}: expected a mapping of keys, got list"
+
+    @pytest.mark.parametrize("section", SECTION_KEYS)
+    def test_unknown_key_in_each_section(self, section):
+        doc = yaml.safe_load(FULL)
+        (doc if section == "scenario" else doc[section])["extra"] = 1
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(yaml.safe_dump(doc))
+        assert str(info.value) == \
+            f"{section}.extra: unknown key (allowed: {', '.join(SECTION_KEYS[section])})"
+
+    def test_sections_are_checked_in_reading_order(self):
+        # with an unknown key in every section, each fix reveals the next section's
+        doc = yaml.safe_load(FULL)
+        for section in SECTION_KEYS:
+            (doc if section == "scenario" else doc[section])["extra"] = 1
+        for section in SECTION_KEYS:
+            with pytest.raises(ScenarioError, match=rf"^{section}\.extra: unknown key"):
+                parse_scenario(yaml.safe_dump(doc))
+            del (doc if section == "scenario" else doc[section])["extra"]
+        parse_scenario(yaml.safe_dump(doc))
 
 
 class TestRoundTrip:
