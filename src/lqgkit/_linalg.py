@@ -11,17 +11,15 @@ from numpy.linalg import _umath_linalg
 # `eigvalsh` compute the eigenvalue that decides.
 DEFINITENESS_TOL = 1e-9
 
-# `solve_spd` stays in numpy up to this order and calls LAPACK through scipy
-# above it.  Up to order 8 numpy's Cholesky and two general solves cost at
-# most about 1.2x scipy's cho_factor/cho_solve per call, and leaving scipy
-# unimported halves a cold CLI run; at order 16 and above they cost 2.7x a
-# direct dpotrf/dpotrs call.  At these orders the LAPACK work is a small part
-# of a `np.linalg` call: on a 1x1 solve the three gufunc calls take 5.6-6.0 µs
-# and the three `np.linalg` calls around them 21-23 µs (numpy 2.4, a 2-vCPU
-# Xeon VM); the rest is argument checks and one errstate context per call.
-# So the numpy path calls the gufuncs directly, under one errstate, and hands
-# the solve to the `np.linalg` calls only when a floating-point flag is raised.
-_NUMPY_MAX_ORDER = 8
+# Up to this order `solve_spd` solves with the two triangles of numpy's
+# Cholesky factor, keeping the bits fig1 and fig4 are pinned with; above it,
+# with one LU solve of the S the factor certified, cheaper there than two
+# triangular solves.  Calling the gufuncs behind `np.linalg` directly keeps a
+# solve near LAPACK's cost (best per call, numpy 2.4, one BLAS thread, a 2-vCPU
+# Xeon VM): 6 µs at order 1 against 23 µs through `np.linalg`; 22 µs at order
+# 16 with 64 right-hand sides against 20 µs for dpotrf/dpotrs; at order 64,
+# 116 µs alone and 142 µs per stacked entry against 84 µs.
+_TRIANGULAR_MAX_ORDER = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -72,7 +70,8 @@ def definiteness(stack: np.ndarray, positive: bool) -> tuple[np.ndarray, np.ndar
     size = np.maximum(stack.max(axis=(1, 2), initial=0.0), -stack.min(axis=(1, 2), initial=0.0))
     symmetric = asym <= tol * (1.0 + size)
     bound = tol if positive else -tol
-    if n and _certified(symmetrize(stack), size, bound):
+    # an exactly symmetric stack is its own symmetric part to a subnormal unit
+    if n and _certified(symmetrize(stack) if asym.any() else stack.copy(), size, bound):
         return symmetric, np.ones(len(stack), dtype=bool)
     least = np.array([np.linalg.eigvalsh(symmetrize(M)).min() if n else 0.0
                       for M in stack])
@@ -113,22 +112,18 @@ def _flagged(kind: str, flag: int):
 
 
 def solve_spd(S: np.ndarray, B: np.ndarray, context) -> np.ndarray:
-    """Solve S X = B for symmetric positive definite S via Cholesky.
+    """Solve S X = B for symmetric positive definite S, certified by Cholesky.
 
     S is one float matrix or an (..., n, n) stack, B then an (..., n, r)
     stack alike; every entry of a stack is solved as it would be on its
-    own, bit for bit, in one call.  Two paths, chosen by the order of S.  Up
-    to _NUMPY_MAX_ORDER, numpy factors S = L L^T and solves with L and L^T
-    (each a stacked LAPACK call), so small problems never import scipy.
-    Above it, LAPACK's dpotrf/dpotrs, imported from scipy on first use and
-    called once per entry, run about 2.7 times faster than numpy's two
-    general solves.  The paths round differently, within about
-    cond(S) eps max|X|.  Raises LinAlgError naming `context` when S is not
-    numerically PD, which signals a violated definiteness precondition
-    upstream.  `context` is a string, or for a stack a function of the flat
-    index of the first entry that is not PD which returns one.
+    own, bit for bit, in one call.  numpy factors S = L L^T, certifying S,
+    and solves with L and L^T up to _TRIANGULAR_MAX_ORDER, above it with one
+    LU solve of S.  Raises LinAlgError naming `context` when S is not
+    numerically PD, a violated definiteness precondition upstream.
+    `context` is a string, or for a stack a function of the flat index of
+    the first entry that is not PD which returns one.
 
-    The numpy path first calls the gufuncs behind `np.linalg.cholesky` and
+    The solve first calls the gufuncs behind `np.linalg.cholesky` and
     `np.linalg.solve` (`solve1` for a 1-D right-hand side, as `solve` picks)
     with every floating-point flag trapped.  A gufunc flags "invalid" exactly
     when its LAPACK call fails, which is when `np.linalg` raises; on an
@@ -138,37 +133,29 @@ def solve_spd(S: np.ndarray, B: np.ndarray, context) -> np.ndarray:
     error, warning and NaN outcome is the `np.linalg` one.
     """
     name = (lambda i: context) if isinstance(context, str) else context
-    n = S.shape[-1]
-    if n <= _NUMPY_MAX_ORDER:
-        try:
-            with np.errstate(all="call", call=_flagged):
-                L = _umath_linalg.cholesky_lo(symmetrize(S))
-                Y = (_umath_linalg.solve1 if B.ndim == 1 else _umath_linalg.solve)(L, B)
-                return (_umath_linalg.solve1 if Y.ndim == 1 else _umath_linalg.solve)(
-                    L.swapaxes(-1, -2), Y)
-        except _Flagged:
-            pass
-        S = symmetrize(S)
-        try:
-            L = np.linalg.cholesky(S)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"{name(_first_not_pd(S))}: matrix is not positive "
-                                        f"definite ({exc})") from exc
-        return np.linalg.solve(L.swapaxes(-1, -2), np.linalg.solve(L, B))
-    from scipy.linalg.lapack import dpotrf, dpotrs
-    entries = S.reshape(-1, n, n)
-    rhs = B.reshape(len(entries), *B.shape[S.ndim - 2:])
-    X = np.empty(rhs.shape)
-    for i, entry in enumerate(entries):
-        factor, info = dpotrf(symmetrize(entry), lower=False, clean=False, overwrite_a=True)
-        if info > 0:
-            raise np.linalg.LinAlgError(f"{name(i)}: matrix is not positive definite "
-                                        f"(leading minor {info} is not positive)")
-        if info == 0:
-            X[i], info = dpotrs(factor, rhs[i], lower=False)
-        if info < 0:
-            raise np.linalg.LinAlgError(f"{name(i)}: LAPACK rejected argument {-info}")
-    return X.reshape(B.shape)
+    triangular = S.shape[-1] <= _TRIANGULAR_MAX_ORDER
+    try:
+        with np.errstate(all="call", call=_flagged):
+            sym = symmetrize(S)
+            solve = _umath_linalg.solve1 if B.ndim == 1 else _umath_linalg.solve
+            if not triangular:
+                _umath_linalg.cholesky_lo(sym)      # certifies S; the factor is freed
+                return solve(sym, B)
+            L = _umath_linalg.cholesky_lo(sym)
+            Y = solve(L, B)
+            return (_umath_linalg.solve1 if Y.ndim == 1 else _umath_linalg.solve)(
+                L.swapaxes(-1, -2), Y)
+    except _Flagged:
+        pass
+    S = symmetrize(S)
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"{name(_first_not_pd(S))}: matrix is not positive "
+                                    f"definite ({exc})") from exc
+    if not triangular:
+        return np.linalg.solve(S, B)
+    return np.linalg.solve(L.swapaxes(-1, -2), np.linalg.solve(L, B))
 
 
 def _first_not_pd(S: np.ndarray) -> int:

@@ -16,7 +16,8 @@ import numpy as np
 
 from ._linalg import matvec, solve_spd, spectral_radius, symmetrize
 from .lqr import _steady_riccati
-from .model import LtvSystem, NoiseModel, _freeze
+from .model import (LtvSystem, NoiseModel, ValidationError, _field_violations, _freeze,
+                    _noise_rows)
 
 
 @dataclass(frozen=True)
@@ -393,7 +394,8 @@ def _estimate(kind: str, system: LtvSystem, noise: NoiseModel, inputs, measureme
     """One stacked pass of a `kind` plan over recorded inputs (N, m) and
     measurements (N, p); ValueError naming the argument on any other shape,
     or naming C on a system without one.  Consecutive calls on one
-    (system, noise) share the plan."""
+    (system, noise) share the plan, built once the noise model's shapes,
+    lengths and finiteness pass (else ValidationError naming each field)."""
     global _last_plan
     if system.C is None:
         raise ValueError("system must have a measurement matrix C, got None")
@@ -407,6 +409,10 @@ def _estimate(kind: str, system: LtvSystem, noise: NoiseModel, inputs, measureme
     inputs, measurements = recorded
     last_kind, last_system, last_noise, plan = _last_plan
     if kind != last_kind or system is not last_system or noise is not last_noise:
+        report = [line for value, name, shape, length, _ in _noise_rows(system, noise)
+                  for line in _field_violations(value, name, shape, length)]
+        if report:
+            raise ValidationError(report)
         plan = _EstimatorPlan(kind, system, noise)
         _last_plan = (kind, system, noise, plan)
     stacked = _StackedPass(plan.A, plan.C, plan, 1)

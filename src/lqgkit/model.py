@@ -262,11 +262,18 @@ def validate(system: LtvSystem, weights: LqrWeights | None = None,
     if weights is not None:
         rows += [(weights.Q, "Q", (n, n), N + 1, False), (weights.R, "R", (m, m), N, True)]
     if noise is not None:
-        rows.append((noise.Qd, "Qd", (n, n), N, False))
-        if p:
-            rows.append((noise.Rv, "Rv", (p, p), N, True))
-        rows += [(noise.x0_mean, "x0_mean", (n,)), (noise.P0, "P0", (n, n), None, False)]
+        rows += _noise_rows(system, noise)
     for row in rows:
         report += _field_violations(*row)
     return report
+
+
+def _noise_rows(system: LtvSystem, noise: NoiseModel) -> list[tuple]:
+    """The (value, name, shape, length, definite) rows `validate` checks the noise with."""
+    n, p, N = system.n, system.p, system.N
+    rows = [(noise.Qd, "Qd", (n, n), N, False)]
+    if p:
+        rows.append((noise.Rv, "Rv", (p, p), N, True))
+    return rows + [(noise.x0_mean, "x0_mean", (n,), None, None),
+                   (noise.P0, "P0", (n, n), None, False)]
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqgkit import LqrWeights, LtvSystem, MatrixSchedule, NoiseModel, validate
-from lqgkit._linalg import DEFINITENESS_TOL, definiteness
+from lqgkit._linalg import DEFINITENESS_TOL, definiteness, symmetrize
 
 TOL = DEFINITENESS_TOL
 N = 20
@@ -220,3 +220,23 @@ def test_definite_schedules_need_no_eigenvalues(eigvalsh_calls):
 def test_indefinite_entry_is_decided_by_eigenvalues(eigvalsh_calls):
     assert validate(*ltv_problem(bad_q=5)) == [f"Q[5] {PSD}"]
     assert len(eigvalsh_calls) >= 1
+
+
+@pytest.mark.parametrize("diagonal", [(1.0, 2.0), (TOL, 1.0), (TOL * (1 + 1e-6), 1.0),
+                                      (0.0, 1.0), (-TOL, 1.0), (-2 * TOL, 1.0)])
+def test_exactly_symmetric_stack_with_subnormal_entry(diagonal, eigvalsh_calls):
+    # the certificate factors such a stack as it is, not its symmetric part,
+    # which halves the subnormal off-diagonal entry to zero; every flag is
+    # still the eigenvalue test's, and an entry well inside needs no eigvalsh
+    tiny = np.nextafter(0.0, 1.0)
+    stack = np.array([[[diagonal[0], tiny], [tiny, diagonal[1]]],
+                      [[diagonal[1], -tiny], [-tiny, diagonal[0]]]])
+    assert (stack == stack.transpose(0, 2, 1)).all() and (symmetrize(stack) != stack).any()
+    least = np.array([least_eigenvalue(M) for M in stack])
+    calls = len(eigvalsh_calls)
+    symmetric, pd = definiteness(stack, positive=True)
+    assert symmetric.all()
+    np.testing.assert_array_equal(pd, least > TOL)
+    np.testing.assert_array_equal(definiteness(stack, positive=False)[1], least >= -TOL)
+    if diagonal[0] == 1.0:
+        assert len(eigvalsh_calls) == calls

@@ -23,7 +23,10 @@ from lqgkit import (
     GaussianStream,
     GaussianVector,
     JointGaussian,
+    MatrixSchedule,
+    NoiseModel,
     Scenario,
+    ValidationError,
     condition,
     filter_predict,
     filter_run,
@@ -343,6 +346,24 @@ def test_recorded_data_needs_a_measurement_matrix(estimator):
     noise = bench_noise(5, Rv=np.zeros((0, 0)))
     with pytest.raises(ValueError, match=r"^system must have a measurement matrix C, got None$"):
         estimator(bench_system(5), noise, np.zeros((5, 1)), np.zeros((5, 0)))
+
+
+@pytest.mark.parametrize("estimator", [filter_run, predictor_run])
+@pytest.mark.parametrize("noise, message", [
+    (lambda: bench_noise(5, Qd=np.eye(3)), "Qd entries have shape (3, 3), expected (2, 2)"),
+    (lambda: bench_noise(5, Rv=np.eye(2)), "Rv entries have shape (2, 2), expected (1, 1)"),
+    (lambda: bench_noise(5, P0=[[np.nan, 0.0], [0.0, 1.0]]),
+     "P0 has non-finite entries (nan or inf)"),
+    (lambda: NoiseModel(MatrixSchedule.of([np.eye(2)] * 4), bench_noise(5).Rv,
+                        np.zeros(3), np.eye(2)),
+     "Qd has length 4, expected 5\n  x0_mean has shape (3,), expected (2,)"),
+], ids=["3x3 Qd", "2x2 Rv at p=1", "NaN P0", "short Qd and long x0_mean"])
+def test_recorded_data_checks_the_noise_model(estimator, noise, message):
+    # before any arithmetic, so no broadcast error or silent NaN mean
+    with pytest.raises(ValidationError) as excinfo:
+        estimator(bench_system(5, with_output=True), noise(), np.zeros((5, 1)),
+                  np.zeros((5, 1)))
+    assert str(excinfo.value) == "invalid configuration:\n  " + message
 
 
 class TestBeliefSequence:
@@ -800,7 +821,7 @@ class TestSolveDareEstimator:
 
     @pytest.mark.parametrize("p, diagnostic", [
         (2, "Matrix is not positive definite"),         # numpy's Cholesky
-        (9, "leading minor 2 is not positive"),          # LAPACK, above order 8
+        (9, "Matrix is not positive definite"),         # numpy's, above order 8 too
     ])
     def test_indefinite_innovation_names_the_solve_diagnostic(self, p, diagnostic):
         with pytest.raises(np.linalg.LinAlgError) as excinfo:

@@ -1,10 +1,11 @@
-"""`solve_spd` on both of its paths, one matrix or a stack, and the scipy
-import it defers.
+"""`solve_spd` with both of its solve formulas, one matrix or a stack, and
+no scipy at run time.
 
-Orders up to `_NUMPY_MAX_ORDER` are solved in numpy, larger ones by LAPACK
-through scipy; scipy's `cho_factor`/`cho_solve` is the oracle for both.  The
-numpy path calls numpy's linalg gufuncs directly; the `np.linalg` calls it
-stands for are its oracle, bit for bit and failure for failure.
+Every order is certified by numpy's Cholesky; orders up to
+`_TRIANGULAR_MAX_ORDER` are solved with the factor's two triangles, larger
+ones with one LU solve of S.  scipy's `cho_factor`/`cho_solve` is the oracle
+for both.  The solve calls numpy's linalg gufuncs directly; the `np.linalg`
+calls it stands for are its oracle, bit for bit and failure for failure.
 """
 import json
 import os
@@ -18,14 +19,16 @@ import pytest
 import scipy.linalg as sla
 
 from lqgkit import ConvergenceError, solve_dare_lqr
-from lqgkit._linalg import _NUMPY_MAX_ORDER, solve_spd, symmetrize
+from lqgkit._linalg import _TRIANGULAR_MAX_ORDER, solve_spd, symmetrize
 
 ROOT = Path(__file__).resolve().parents[1]
 ORDERS = range(1, 17)
+LARGE_ORDERS = (32, 64)
+LU_ORDERS = (9, 16, *LARGE_ORDERS)
 
 
 def test_orders_cover_both_paths():
-    assert ORDERS[0] <= _NUMPY_MAX_ORDER < ORDERS[-1]
+    assert ORDERS[0] <= _TRIANGULAR_MAX_ORDER < ORDERS[-1]
 
 
 def spd(n, seed):
@@ -45,16 +48,30 @@ def test_matches_cho_solve(n, rhs):
     np.testing.assert_allclose(X, sla.cho_solve(sla.cho_factor(S), B), rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("n", [2, 16])
+@pytest.mark.parametrize("n", LARGE_ORDERS)
+@pytest.mark.parametrize("rhs", ["1", "n", "4n"])
+def test_large_orders_match_cho_solve(n, rhs):
+    # the LU solve and cho_solve's two triangular solves round apart by
+    # about cond(S) eps max|X|, which an entry near zero feels relative to
+    # itself, so these orders are compared relative to max|X|
+    S = spd(n, 0)
+    shape = {"1": (n,), "n": (n, n), "4n": (n, 4 * n)}[rhs]
+    B = np.random.default_rng([1, n]).standard_normal(shape)
+    X, expected = solve_spd(S, B, "test"), sla.cho_solve(sla.cho_factor(S), B)
+    assert X.shape == B.shape
+    assert np.abs(X - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n", [2, 16, 64])
 def test_indefinite_raises_naming_context(n):
     S = spd(n, 2)
     S[-1, -1] = -1.0
-    with pytest.raises(np.linalg.LinAlgError,
-                       match=r"^gain solve: matrix is not positive definite \("):
+    with pytest.raises(np.linalg.LinAlgError, match=r"^gain solve: matrix is not positive "
+                       r"definite \(Matrix is not positive definite\)$"):
         solve_spd(S, np.ones((n, 1)), "gain solve")
 
 
-@pytest.mark.parametrize("n", ORDERS)
+@pytest.mark.parametrize("n", (*ORDERS, *LARGE_ORDERS))
 def test_stack_equals_entry_by_entry(n):
     # a (2, 3, n, n) stack: every entry bit for bit as its own call
     S = np.array([spd(n, seed) for seed in range(6)]).reshape(2, 3, n, n)
@@ -65,7 +82,7 @@ def test_stack_equals_entry_by_entry(n):
         assert X[i].tobytes() == solve_spd(S[i], B[i], "test").tobytes()
 
 
-@pytest.mark.parametrize("n", [2, 16])
+@pytest.mark.parametrize("n", [2, 9, 16, 32, 64])
 def test_stack_names_its_first_failing_entry(n):
     S = np.array([spd(n, seed) for seed in range(4)])
     S[2, -1, -1] = S[3, -1, -1] = -1.0
@@ -79,8 +96,11 @@ def test_stack_names_its_first_failing_entry(n):
 
 
 def np_linalg_solve(S, B):
-    """The `np.linalg` calls the numpy path stands for."""
-    L = np.linalg.cholesky(symmetrize(S))
+    """The `np.linalg` calls `solve_spd` stands for."""
+    S = symmetrize(S)
+    L = np.linalg.cholesky(S)
+    if S.shape[-1] > _TRIANGULAR_MAX_ORDER:
+        return np.linalg.solve(S, B)
     return np.linalg.solve(L.swapaxes(-1, -2), np.linalg.solve(L, B))
 
 
@@ -96,20 +116,26 @@ def outcome(solve, S, B):
     return X.shape, X.tobytes()
 
 
-@pytest.mark.parametrize("n", range(1, _NUMPY_MAX_ORDER + 1))
+@pytest.mark.parametrize("n", (*range(1, _TRIANGULAR_MAX_ORDER + 1), *LU_ORDERS))
 @pytest.mark.parametrize("stack", [(), (2, 3)], ids=["single", "stack"])
 @pytest.mark.parametrize("rhs", ["vector", "n x 1", "n x 3"])
 def test_numpy_path_equals_np_linalg(n, stack, rhs):
     # S is slightly asymmetric, so its symmetrization counts; a 1-D right-hand
     # side keeps np.linalg.solve's semantics, under which a stack of S and a
-    # vector fail with np.linalg's own ValueError
+    # vector fail with np.linalg's own ValueError on the triangular solves,
+    # and the LU solve broadcasts the vector
     W, E = np.random.default_rng([3, n]).standard_normal((2,) + stack + (n, n))
     S = W @ W.swapaxes(-1, -2) + 0.1 * np.eye(n) + 1e-3 * E
     shape = {"vector": (n,), "n x 1": stack + (n, 1), "n x 3": stack + (n, 3)}[rhs]
     B = np.random.default_rng([4, n]).standard_normal(shape)
     got = outcome(lambda S, B: solve_spd(S, B, "test"), S, B)
     assert got == outcome(np_linalg_solve, S, B)
-    assert got[0] == shape or (stack and rhs == "vector" and got[0] is ValueError)
+    if not (stack and rhs == "vector"):
+        assert got[0] == shape
+    elif n <= _TRIANGULAR_MAX_ORDER:
+        assert got[0] is ValueError
+    else:
+        assert got[0] == stack + shape
 
 
 def test_numpy_path_makes_no_np_linalg_call(monkeypatch):
@@ -118,7 +144,7 @@ def test_numpy_path_makes_no_np_linalg_call(monkeypatch):
 
     for name in ("cholesky", "solve"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    for n in range(1, _NUMPY_MAX_ORDER + 1):
+    for n in (*ORDERS, *LARGE_ORDERS):
         solve_spd(spd(n, 5), np.ones((n, 2)), "test")
         with pytest.raises(AssertionError, match="np.linalg called"):
             solve_spd(-spd(n, 5), np.ones((n, 2)), "test")      # a failure falls back
@@ -146,6 +172,42 @@ def test_failures_as_np_linalg_without_warnings(S, B, raised):
         assert got == (np.linalg.LinAlgError, raised)
 
 
+@pytest.mark.parametrize("n", LU_ORDERS)
+@pytest.mark.parametrize("case", ["indefinite S", "NaN in S", "inf in S", "inf in B",
+                                  "opposite infs in S"])
+def test_lu_failures_as_np_linalg_without_warnings(n, case):
+    # above _TRIANGULAR_MAX_ORDER the fallback is np.linalg's Cholesky and
+    # LU solve: an indefinite S raises numpy's own diagnostic, and a
+    # non-finite input gives np.linalg's result (NaN entries, or for an
+    # inf pivot a finite one), warning of nothing.  Opposite infs make the
+    # symmetrization warn, as it does in np.linalg's calls; with that warning
+    # off they run the fallback's solve
+    S, B = spd(n, 6), np.ones((n, 2))
+    i = n // 2
+    if case == "indefinite S":
+        S[i, i] = -1.0
+    elif case == "NaN in S":
+        S[i, i] = np.nan
+    elif case == "inf in S":
+        S[i, i] = np.inf
+    elif case == "opposite infs in S":
+        S[i, 0], S[0, i] = np.inf, -np.inf
+    else:
+        B[i, 0] = np.inf
+    got = outcome(lambda S, B: solve_spd(S, B, "ctx"), S, B)
+    expected = outcome(np_linalg_solve, S, B)
+    if case == "indefinite S":
+        assert expected == (np.linalg.LinAlgError, "Matrix is not positive definite")
+        assert got == (np.linalg.LinAlgError, NOT_PD)
+    elif case == "opposite infs in S":
+        assert got == expected and got[0] is RuntimeWarning
+        with np.errstate(invalid="ignore"):
+            got = outcome(lambda S, B: solve_spd(S, B, "ctx"), S, B)
+            assert got == outcome(np_linalg_solve, S, B) and got[0] == B.shape
+    else:
+        assert got == expected and got[0] == B.shape
+
+
 def test_steady_overflow_diverges_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -159,30 +221,26 @@ import json, sys
 import numpy as np
 from lqgkit.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
 out, scn = sys.argv[1], sys.argv[2]
 seeds = ",".join(str(s) for s in range(20))
 codes = [main(["reproduce", "fig1", "--output", out]),
          main(["reproduce", "fig4", "--output", out]),
          main(["sweep", scn, "--axis", "seed", "--values", seeds, "--output", out])]
-after_cli = scipy_modules()
 from lqgkit._linalg import solve_spd
 solve_spd(16.0 * np.eye(16), np.ones(16), "order 16")
-print(json.dumps({"codes": codes, "after_cli": after_cli, "after_solve": scipy_modules()}))
+solve_spd(np.broadcast_to(64.0 * np.eye(64), (3, 64, 64)), np.ones((3, 64, 2)), "order 64")
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
 def test_small_problems_never_import_scipy(tmp_path):
-    # every bundled problem is solved in numpy, so a CLI process pays for
-    # importing scipy only once an SPD solve above _NUMPY_MAX_ORDER needs it
+    # every SPD solve is numpy's, so no process imports scipy: not the CLI
+    # on the bundled problems, nor an order-16 or a stacked order-64 solve
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     scn = ROOT / "src" / "lqgkit" / "scenarios" / "fig4.scn"
     proc = subprocess.run([sys.executable, "-c", COLD_RUN, str(tmp_path), str(scn)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0, 0]
-    assert report["after_cli"] == []
-    assert "scipy.linalg" in report["after_solve"]
+    assert report == {"codes": [0, 0, 0], "scipy": []}
