@@ -18,7 +18,13 @@ DEFINITENESS_TOL = 1e-9
 # solve near LAPACK's cost (best per call, numpy 2.4, one BLAS thread, a 2-vCPU
 # Xeon VM): 6 µs at order 1 against 23 µs through `np.linalg`; 22 µs at order
 # 16 with 64 right-hand sides against 20 µs for dpotrf/dpotrs; at order 64,
-# 116 µs alone and 142 µs per stacked entry against 84 µs.
+# 116 µs alone and 142 µs per stacked entry against 84 µs.  Above this order
+# a stack of S also goes entry by entry into one preallocated output: one
+# stacked call holds every entry's symmetric part and factor at once, and
+# traced by tracemalloc the smoother's (100, 64, 64) gain solve peaked at
+# 6.31 MiB of numpy data for its 3.12 MiB answer (3.25 MiB entry by entry).  At
+# and below it one stacked call stays, as fig4's (50, 2, 2) smoother solve
+# needs: there a Python loop's per-entry cost outweighs the scratch it saves.
 _TRIANGULAR_MAX_ORDER = 8
 
 
@@ -40,6 +46,20 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     """
     half = 0.5 * M
     return half + half.swapaxes(-1, -2)
+
+
+def check_finite(arguments: dict) -> None:
+    """ValueError naming the first argument, of the name -> array dict
+    `arguments`, that holds a nan or inf (None, as a float array, is nan).
+
+    The public step functions check what they are given with this: `solve_spd`
+    takes an inf on the diagonal of S as positive definite and solves around
+    it, and a nan would only come back as nan results.  Runs check their
+    schedules once, in `validate`, and call the private kernels.
+    """
+    for name, value in arguments.items():
+        if not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise ValueError(f"{name} has non-finite entries (nan or inf)")
 
 
 def matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -114,14 +134,17 @@ def _flagged(kind: str, flag: int):
 def solve_spd(S: np.ndarray, B: np.ndarray, context) -> np.ndarray:
     """Solve S X = B for symmetric positive definite S, certified by Cholesky.
 
-    S is one float matrix or an (..., n, n) stack, B then an (..., n, r)
-    stack alike; every entry of a stack is solved as it would be on its
-    own, bit for bit, in one call.  numpy factors S = L L^T, certifying S,
-    and solves with L and L^T up to _TRIANGULAR_MAX_ORDER, above it with one
-    LU solve of S.  Raises LinAlgError naming `context` when S is not
-    numerically PD, a violated definiteness precondition upstream.
-    `context` is a string, or for a stack a function of the flat index of
-    the first entry that is not PD which returns one.
+    S is one float matrix or an (..., n, n) stack, B an (..., n, r) stack
+    or one vector, broadcast against S as `np.linalg.solve` broadcasts
+    them.  Every entry of a stack is solved as it would be on its own, bit
+    for bit.  numpy factors S = L L^T, certifying S, and solves with L and
+    L^T up to _TRIANGULAR_MAX_ORDER, in one stacked call; above it with one
+    LU solve of S, a stack entry by entry into one preallocated output, so
+    the only scratch is one entry's (see _TRIANGULAR_MAX_ORDER).  Raises
+    LinAlgError naming `context` when S is not numerically PD, a violated
+    definiteness precondition upstream.  `context` is a string, or for a
+    stack a function of the flat index of the first entry that is not PD
+    which returns one.
 
     The solve first calls the gufuncs behind `np.linalg.cholesky` and
     `np.linalg.solve` (`solve1` for a 1-D right-hand side, as `solve` picks)
@@ -129,13 +152,15 @@ def solve_spd(S: np.ndarray, B: np.ndarray, context) -> np.ndarray:
     when its LAPACK call fails, which is when `np.linalg` raises; on an
     unflagged result `np.linalg` returns the same bits, so it is returned.
     Any flag, from the symmetrization too, discards the result and reruns
-    the solve through `np.linalg` under the caller's errstate, so every
-    error, warning and NaN outcome is the `np.linalg` one.
+    the whole solve through `np.linalg` under the caller's errstate, so
+    every error, warning and NaN outcome is the `np.linalg` one.
     """
     name = (lambda i: context) if isinstance(context, str) else context
     triangular = S.shape[-1] <= _TRIANGULAR_MAX_ORDER
     try:
         with np.errstate(all="call", call=_flagged):
+            if not triangular and S.ndim > 2:
+                return _lu_entry_by_entry(S, B)
             sym = symmetrize(S)
             solve = _umath_linalg.solve1 if B.ndim == 1 else _umath_linalg.solve
             if not triangular:
@@ -156,6 +181,21 @@ def solve_spd(S: np.ndarray, B: np.ndarray, context) -> np.ndarray:
     if not triangular:
         return np.linalg.solve(S, B)
     return np.linalg.solve(L.swapaxes(-1, -2), np.linalg.solve(L, B))
+
+
+def _lu_entry_by_entry(S: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The certified LU solve of `solve_spd` for each entry of a stack S,
+    written into one output of `np.linalg.solve(S, B)`'s shape."""
+    core = B.shape[-1:] if B.ndim == 1 else B.shape[-2:]
+    batch = np.broadcast_shapes(S.shape[:-2], B.shape[:B.ndim - len(core)])
+    S, B = np.broadcast_to(S, batch + S.shape[-2:]), np.broadcast_to(B, batch + core)
+    solve = _umath_linalg.solve1 if len(core) == 1 else _umath_linalg.solve
+    X = np.empty(batch + core)
+    for i in np.ndindex(batch):
+        sym = symmetrize(S[i])
+        _umath_linalg.cholesky_lo(sym)      # certifies S_i; the factor is freed
+        solve(sym, B[i], out=X[i])
+    return X
 
 
 def _first_not_pd(S: np.ndarray) -> int:

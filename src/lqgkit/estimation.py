@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import matvec, solve_spd, spectral_radius, symmetrize
+from ._linalg import check_finite, matvec, solve_spd, spectral_radius, symmetrize
 from .lqr import _steady_riccati
 from .model import (LtvSystem, NoiseModel, ValidationError, _field_violations, _freeze,
                     _noise_rows)
@@ -110,9 +110,18 @@ def _correct(prior, L, innovation, out=None):
 
 def luenberger_step(A: np.ndarray, B: np.ndarray, C: np.ndarray, L: np.ndarray,
                     x_hat: np.ndarray, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Fixed-gain observer update: A x_hat + B u + L (y - C x_hat), as a run does it."""
+    """Fixed-gain observer update: A x_hat + B u + L (y - C x_hat), as a run does it.
+
+    ValueError names an argument that holds a nan or inf.
+    """
     A, B, C, L = (np.atleast_2d(_freeze(M)) for M in (A, B, C, L))
     x_hat, u, y = (np.atleast_1d(_freeze(v)) for v in (x_hat, u, y))
+    check_finite({"A": A, "B": B, "C": C, "L": L, "x_hat": x_hat, "u": u, "y": y})
+    return _observer_update(A, B, C, L, x_hat, u, y)
+
+
+def _observer_update(A, B, C, L, x_hat, u, y):
+    """luenberger_step on 2-D and 1-D float arrays, taken as they are."""
     return _correct(_advance(A, x_hat, matvec(B, u)), L, y - matvec(C, x_hat))
 
 
@@ -186,17 +195,29 @@ def predictor_step(A_k, B_k, C_k, Qd_k, Rv_k, belief: Belief, u_k, y_k
     L_k = A P C^T (C P C^T + Rv)^{-1}
     mean' = A x_hat + B u + L (y - C x_hat)
     cov'  = (A - L C) P (A - L C)^T + Qd + L Rv L^T   (symmetrized)
+
+    ValueError names an argument that holds a nan or inf.
     """
     A_k, B_k, C_k, Qd_k, Rv_k = (np.atleast_2d(_freeze(M)) for M in (A_k, B_k, C_k, Qd_k, Rv_k))
+    u_k, y_k = np.atleast_1d(_freeze(u_k)), np.atleast_1d(_freeze(y_k))
+    check_finite({"A_k": A_k, "B_k": B_k, "C_k": C_k, "Qd_k": Qd_k, "Rv_k": Rv_k,
+                  "belief.mean": belief.mean, "belief.cov": belief.cov, "u_k": u_k, "y_k": y_k})
     L, cov = _predictor_gain(A_k, C_k, Qd_k, Rv_k, belief.cov)
     k = belief.tag[0]
-    return Belief(luenberger_step(A_k, B_k, C_k, L, belief.mean, u_k, y_k), cov, (k + 1, k)), L
+    mean = _observer_update(A_k, B_k, C_k, L, belief.mean, u_k, y_k)
+    return Belief(mean, cov, (k + 1, k)), L
 
 
 def filter_predict(A_prev, B_prev, Qd_prev, belief: Belief, u_prev) -> Belief:
-    """Time update from (k-1 | k-1) to (k | k-1), as `filter_run` does it."""
+    """Time update from (k-1 | k-1) to (k | k-1), as `filter_run` does it.
+
+    ValueError names an argument that holds a nan or inf.
+    """
     A_prev, B_prev, Qd_prev = (np.atleast_2d(_freeze(M)) for M in (A_prev, B_prev, Qd_prev))
-    mean = _advance(A_prev, belief.mean, matvec(B_prev, np.atleast_1d(_freeze(u_prev))))
+    u_prev = np.atleast_1d(_freeze(u_prev))
+    check_finite({"A_prev": A_prev, "B_prev": B_prev, "Qd_prev": Qd_prev,
+                  "belief.mean": belief.mean, "belief.cov": belief.cov, "u_prev": u_prev})
+    mean = _advance(A_prev, belief.mean, matvec(B_prev, u_prev))
     k = belief.tag[0]
     return Belief(mean=mean, cov=_time_update(A_prev, Qd_prev, belief.cov), tag=(k + 1, k))
 
@@ -207,10 +228,15 @@ def filter_update(C_k, Rv_k, belief: Belief, y_k) -> tuple[Belief, np.ndarray]:
 
     L_k = P C^T (C P C^T + Rv)^{-1}
     cov' = (I - L C) P (I - L C)^T + L Rv L^T
+
+    ValueError names an argument that holds a nan or inf.
     """
     C_k, Rv_k = np.atleast_2d(_freeze(C_k)), np.atleast_2d(_freeze(Rv_k))
+    y_k = np.atleast_1d(_freeze(y_k))
+    check_finite({"C_k": C_k, "Rv_k": Rv_k, "belief.mean": belief.mean,
+                  "belief.cov": belief.cov, "y_k": y_k})
     L, cov = _filter_gain(C_k, Rv_k, belief.cov)
-    mean = _correct(belief.mean, L, np.atleast_1d(_freeze(y_k)) - matvec(C_k, belief.mean))
+    mean = _correct(belief.mean, L, y_k - matvec(C_k, belief.mean))
     k = belief.tag[0]
     return Belief(mean=mean, cov=cov, tag=(k, k)), L
 

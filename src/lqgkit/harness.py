@@ -213,18 +213,17 @@ def _controller_gains(s: Scenario, tol: float, max_iter: int
 class _Plan:
     """The seed-independent half of a run, built once per scenario.
 
-    Validation, controller synthesis, the estimator's gain and covariance
-    schedules, and the factors of the truth's noise covariances depend on
-    the scenario but not on its seed; `_simulate` makes the seeds' pass.
+    Validation, controller synthesis and the estimator's gain and covariance
+    schedules depend on the scenario but not on its seed; `_simulate` makes
+    the seeds' pass.  The factors of the truth's noise covariances are not
+    kept here: `_simulate` makes them where it draws the noise, so they live
+    no longer than the draw.
     """
 
     scenario: Scenario
     gains: MatrixSchedule | None
     riccati: RiccatiSolution | None
     estimator: _EstimatorPlan | None
-    x0_factor: np.ndarray | None
-    d_factors: np.ndarray | None
-    v_factors: np.ndarray | None
 
 
 def _violations(s: Scenario) -> list[str]:
@@ -237,26 +236,22 @@ def _plan(s: Scenario, tol: float, max_iter: int) -> _Plan:
     if report:
         raise ValidationError(report)
     gains, riccati = _controller_gains(s, tol, max_iter)
-    noise = s.noise
-    x0_factor = d_factors = v_factors = None
-    if noise is not None:
-        if s.x0 is None and s.x0_std is None:
-            x0_factor = psd_factor(noise.P0)
-        d_factors = psd_factor((s.sim_Qd if s.sim_Qd is not None else noise.Qd).distinct())
-        if s.system.p > 0:
-            v_factors = psd_factor((s.sim_Rv if s.sim_Rv is not None else noise.Rv).distinct())
     estimator = None
     if s.estimator != "none":
-        estimator = _EstimatorPlan(s.estimator, s.system, noise, s.luenberger_gain)
-    return _Plan(s, gains, riccati, estimator, x0_factor, d_factors, v_factors)
+        estimator = _EstimatorPlan(s.estimator, s.system, s.noise, s.luenberger_gain)
+    return _Plan(s, gains, riccati, estimator)
 
 
 def _simulate(plan: _Plan, seeds: list[int]) -> tuple[MonteCarloResult, _StackedPass]:
     """Draw each seed's noise, then move every seed's true state and
     estimate means together, one stacked product per matrix and step.
 
-    Returns the stacked runs with the pass that made them.  A run with a
-    given x0 and no noise model draws nothing.
+    The noise is the seeds' normals times factors of P0 (for a sampled x0
+    without x0_std) and of the truth's Qd and Rv (sim_Qd, sim_Rv if set),
+    one `psd_factor` call each per pass.  The factors die once x0, d and v
+    exist, so the pass holds none of them.  Returns the stacked runs with
+    the pass that made them.  A run with a given x0 and no noise model
+    draws nothing.
     """
     s, est = plan.scenario, plan.estimator
     system, noise = s.system, s.noise
@@ -272,9 +267,11 @@ def _simulate(plan: _Plan, seeds: list[int]) -> tuple[MonteCarloResult, _Stacked
     elif s.x0_std is not None:
         x = noise.x0_mean + s.x0_std * heads
     else:
-        x = noise.x0_mean + matvec(plan.x0_factor, heads)
-    d = matvec(plan.d_factors, z[0]) if noise is not None else np.zeros((S, N, n))
-    v = matvec(plan.v_factors, z[1]) if measuring else None
+        x = noise.x0_mean + matvec(psd_factor(noise.P0), heads)
+    d = (matvec(psd_factor((s.sim_Qd if s.sim_Qd is not None else noise.Qd).distinct()), z[0])
+         if noise is not None else np.zeros((S, N, n)))
+    v = (matvec(psd_factor((s.sim_Rv if s.sim_Rv is not None else noise.Rv).distinct()), z[1])
+         if measuring else None)
 
     stacked = _StackedPass(system.A.stack, system.C.stack if measuring else None, est, S,
                            (x, d, v))
@@ -343,7 +340,7 @@ def simulate_closed_loop(system: LtvSystem, gains, x0: np.ndarray) -> Trajectory
     if gains.shape != (system.m, system.n):
         raise ValueError(f"gain shape {gains.shape}, expected ({system.m}, {system.n})")
     scenario = Scenario(system, x0=np.asarray(x0, dtype=float))   # given; None reads as [nan]
-    runs = _simulate(_Plan(scenario, gains, None, None, None, None, None), [0])[0]
+    runs = _simulate(_Plan(scenario, gains, None, None), [0])[0]
     return Trajectory(states=runs.states[0], inputs=runs.inputs[0])
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import ConvergenceError, solve_spd, spectral_radius, symmetrize
+from ._linalg import ConvergenceError, check_finite, solve_spd, spectral_radius, symmetrize
 from .model import LqrWeights, LtvSystem, MatrixSchedule, Trajectory, _freeze
 
 
@@ -74,9 +74,12 @@ def dre_step(A_k: np.ndarray, B_k: np.ndarray, Q_k: np.ndarray, R_k: np.ndarray,
     """One backward Riccati step; returns (K_k, P_k) with P_k symmetrized.
 
     The inner matrix R_k + B_k^T P_next B_k is factorized, never inverted; a
-    factorization failure signals a violated R > 0 precondition.
+    factorization failure signals a violated R > 0 precondition.  ValueError
+    names an argument that holds a nan or inf.
     """
-    return _dre_step(*(np.atleast_2d(_freeze(M)) for M in (A_k, B_k, Q_k, R_k, P_next)))
+    A_k, B_k, Q_k, R_k, P_next = (np.atleast_2d(_freeze(M)) for M in (A_k, B_k, Q_k, R_k, P_next))
+    check_finite({"A_k": A_k, "B_k": B_k, "Q_k": Q_k, "R_k": R_k, "P_next": P_next})
+    return _dre_step(A_k, B_k, Q_k, R_k, P_next)
 
 
 def _dre_step(A_k, B_k, Q_k, R_k, P_next, context="LQR gain solve"):
@@ -276,7 +279,8 @@ def _settling_reports(solution: RiccatiSolution, xs: np.ndarray,
     k_x = np.where(after.any(axis=1), after.argmax(axis=1), N)
     # k_K: the last j of the leading run of gains within eps of K_0 (0 if none).
     K = solution.K.stack
-    within = np.abs(K - K[0]).max(axis=(1, 2))[None, :] <= eps[:, None]
+    drift = K - K[0]
+    within = np.abs(drift, out=drift).max(axis=(1, 2))[None, :] <= eps[:, None]
     leading = np.where(within.all(axis=1), N, within.argmin(axis=1))
     k_K = np.maximum(leading - 1, 0)
     return [SettlingReport(k_x=int(a), k_K=int(b), epsilon=float(e))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import psd_factor, solve_spd, symmetrize
+from ._linalg import check_finite, psd_factor, solve_spd, symmetrize
 
 _TWO_PI = 2.0 * math.pi
 
@@ -154,11 +154,15 @@ def condition(joint: JointGaussian, y_obs: np.ndarray) -> GaussianVector:
     cov  = V(x) - V(x,y) V(y)^-1 V(y,x)
 
     The gain V(x,y) V(y)^-1 is obtained by a symmetric solve, never by
-    forming the inverse.
+    forming the inverse.  ValueError names a block of `joint`, or y_obs,
+    that holds a nan or inf.
     """
     y_obs = np.atleast_1d(np.asarray(y_obs, dtype=float))
     if y_obs.shape != joint.mean_y.shape:
         raise ValueError(f"y_obs must have shape {joint.mean_y.shape}, got {y_obs.shape}")
+    check_finite({"joint.mean_x": joint.mean_x, "joint.mean_y": joint.mean_y,
+                  "joint.cov_xx": joint.cov_xx, "joint.cov_xy": joint.cov_xy,
+                  "joint.cov_yy": joint.cov_yy, "y_obs": y_obs})
     # G^T = V(y)^-1 V(y,x); V(y) symmetric.
     gain = solve_spd(joint.cov_yy, joint.cov_xy.T, "conditioning on y").T
     mean = joint.mean_x + gain @ (y_obs - joint.mean_y)

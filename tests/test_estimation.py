@@ -28,6 +28,7 @@ from lqgkit import (
     Scenario,
     ValidationError,
     condition,
+    dre_step,
     filter_predict,
     filter_run,
     filter_update,
@@ -364,6 +365,36 @@ def test_recorded_data_checks_the_noise_model(estimator, noise, message):
         estimator(bench_system(5, with_output=True), noise(), np.zeros((5, 1)),
                   np.zeros((5, 1)))
     assert str(excinfo.value) == "invalid configuration:\n  " + message
+
+
+I2, INF_RV, NAN_RV = np.eye(2), np.diag([np.inf, 1.0]), np.diag([np.nan, 1.0])
+PRIOR = Belief(np.zeros(2), np.eye(2), (0, -1))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: filter_update(I2, INF_RV, PRIOR, [1.0, 1.0]), "Rv_k"),
+    (lambda: filter_update(I2, NAN_RV, PRIOR, [1.0, 1.0]), "Rv_k"),
+    (lambda: filter_update(I2, I2, Belief(np.zeros(2), NAN_RV, (0, -1)), [1.0, 1.0]),
+     "belief.cov"),
+    (lambda: filter_update(I2, I2, Belief(np.zeros(2), None, (0, -1)), [1.0, 1.0]),
+     "belief.cov"),
+    (lambda: predictor_step(I2, I2, I2, I2, INF_RV, PRIOR, [0.0, 0.0], [1.0, 1.0]), "Rv_k"),
+    (lambda: filter_predict(I2, I2, NAN_RV, PRIOR, [0.0, 0.0]), "Qd_prev"),
+    (lambda: luenberger_step(I2, I2, I2, I2, [0.0, 0.0], [0.0, 0.0], [np.inf, 1.0]), "y"),
+    (lambda: dre_step(I2, I2, I2, I2, INF_RV), "P_next"),
+    (lambda: condition(JointGaussian(np.zeros(2), np.zeros(2), I2, I2, np.diag([np.inf, 2.0])),
+                       [1.0, 1.0]), "joint.cov_yy"),
+], ids=["filter_update inf Rv", "filter_update nan Rv", "filter_update nan belief",
+        "filter_update observer belief",
+        "predictor_step inf Rv", "filter_predict nan Qd", "luenberger_step inf y",
+        "dre_step inf P", "condition inf cov_yy"])
+def test_step_functions_name_a_non_finite_argument(call, name):
+    # an inf on the diagonal of an SPD solve's S passes its Cholesky and drops
+    # that row (filter_update's mean came back [0, 0.5]); a nan came back as
+    # nan means.  The public step functions refuse both, naming the argument,
+    # and take a fixed-gain observer's belief (no covariance) as a nan one
+    with pytest.raises(ValueError, match=rf"^{name} has non-finite entries \(nan or inf\)$"):
+        call()
 
 
 class TestBeliefSequence:

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -71,15 +72,33 @@ def test_indefinite_raises_naming_context(n):
         solve_spd(S, np.ones((n, 1)), "gain solve")
 
 
-@pytest.mark.parametrize("n", (*ORDERS, *LARGE_ORDERS))
-def test_stack_equals_entry_by_entry(n):
-    # a (2, 3, n, n) stack: every entry bit for bit as its own call
+@pytest.mark.parametrize("n, batch", [
+    *(pytest.param(n, (2, 3), id=str(n)) for n in (*ORDERS, *LARGE_ORDERS)),
+    *(pytest.param(n, (), id=f"unbatched B-{n}") for n in LU_ORDERS)])
+def test_stack_equals_entry_by_entry(n, batch):
+    # a (2, 3, n, n) stack: every entry bit for bit as its own call, with a
+    # right-hand side per entry or one broadcast against every entry
     S = np.array([spd(n, seed) for seed in range(6)]).reshape(2, 3, n, n)
-    B = np.random.default_rng([2, n]).standard_normal((2, 3, n, 2))
+    B = np.random.default_rng([2, n]).standard_normal(batch + (n, 2))
     X = solve_spd(S, B, "test")
-    assert X.shape == B.shape
+    assert X.shape == (2, 3, n, 2)
     for i in np.ndindex(2, 3):
-        assert X[i].tobytes() == solve_spd(S[i], B[i], "test").tobytes()
+        assert X[i].tobytes() == solve_spd(S[i], B[i] if batch else B, "test").tobytes()
+
+
+def test_large_stack_allocates_little_beyond_its_answer():
+    # numpy reports its buffers to tracemalloc.  Solved as one stacked call,
+    # the smoother's (100, 64, 64) gain solve held the stack's symmetric
+    # part and factors beside the answer, peaking at twice its size
+    W = np.random.default_rng(7).standard_normal((2, 100, 64, 64))
+    S, B = W[0] @ W[0].swapaxes(-1, -2) + 64 * np.eye(64), W[1]
+    tracemalloc.start()
+    try:
+        X = solve_spd(S, B, "test")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * X.nbytes
 
 
 @pytest.mark.parametrize("n", [2, 9, 16, 32, 64])
@@ -118,20 +137,22 @@ def outcome(solve, S, B):
 
 @pytest.mark.parametrize("n", (*range(1, _TRIANGULAR_MAX_ORDER + 1), *LU_ORDERS))
 @pytest.mark.parametrize("stack", [(), (2, 3)], ids=["single", "stack"])
-@pytest.mark.parametrize("rhs", ["vector", "n x 1", "n x 3"])
+@pytest.mark.parametrize("rhs", ["vector", "n x 1", "n x 3", "unbatched n x 3"])
 def test_numpy_path_equals_np_linalg(n, stack, rhs):
     # S is slightly asymmetric, so its symmetrization counts; a 1-D right-hand
     # side keeps np.linalg.solve's semantics, under which a stack of S and a
     # vector fail with np.linalg's own ValueError on the triangular solves,
-    # and the LU solve broadcasts the vector
+    # and the LU solve broadcasts the vector, as every order broadcasts a
+    # right-hand side with no batch axes
     W, E = np.random.default_rng([3, n]).standard_normal((2,) + stack + (n, n))
     S = W @ W.swapaxes(-1, -2) + 0.1 * np.eye(n) + 1e-3 * E
-    shape = {"vector": (n,), "n x 1": stack + (n, 1), "n x 3": stack + (n, 3)}[rhs]
+    shape = {"vector": (n,), "n x 1": stack + (n, 1), "n x 3": stack + (n, 3),
+             "unbatched n x 3": (n, 3)}[rhs]
     B = np.random.default_rng([4, n]).standard_normal(shape)
     got = outcome(lambda S, B: solve_spd(S, B, "test"), S, B)
     assert got == outcome(np_linalg_solve, S, B)
     if not (stack and rhs == "vector"):
-        assert got[0] == shape
+        assert got[0] == stack + shape[-2:]
     elif n <= _TRIANGULAR_MAX_ORDER:
         assert got[0] is ValueError
     else:

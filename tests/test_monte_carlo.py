@@ -9,6 +9,7 @@ to Tracking and Navigation, 2001, sec. 5.4).
 """
 import itertools
 import time
+import tracemalloc
 from dataclasses import fields, replace
 from importlib import resources
 
@@ -133,6 +134,42 @@ def test_stacked_pass_equals_independent_runs(config, x0, system_seed, n, m, p, 
         if config["estimator"] in ("predictor", "filter", "smoother"):
             assert same(stacked.innovations[s], result.estimator_run.innovations)
     assert same(stacked.covariances, runs[0].trajectory.covariances)
+
+
+def held_bytes(result) -> int:
+    """The bytes of every distinct numpy buffer a run's result holds."""
+    buffers = {}
+
+    def visit(obj):
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj.nbytes
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                visit(item)
+        elif hasattr(obj, "__dict__"):
+            for item in vars(obj).values():
+                visit(item)
+    visit(result)
+    return sum(buffers.values())
+
+
+def test_run_peaks_near_what_its_result_holds():
+    # numpy reports its buffers to tracemalloc.  With every stack above
+    # order 8, a run made nothing horizon-sized that it did not return but
+    # its noise factors (held until the run returned) and the smoother's
+    # stacked gain solve (twice its answer), and peaked at 1.46 times its result
+    scenario = replace(ltv_scenario(0, 24, 4, 6, 40), controller="lqr", estimator="smoother",
+                       x0=None)
+    run(scenario)       # one-time allocations stay out of the trace
+    tracemalloc.start()
+    try:
+        result = run(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * held_bytes(result)
 
 
 def one_vector_run(s, seed):
