@@ -48,18 +48,30 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return half + half.swapaxes(-1, -2)
 
 
-def check_finite(arguments: dict) -> None:
-    """ValueError naming the first argument, of the name -> array dict
-    `arguments`, that holds a nan or inf (None, as a float array, is nan).
+def _freeze(M, ndmin: int = 0) -> np.ndarray:
+    """A read-only C-ordered float copy of M with at least `ndmin` axes, the
+    one layout every run reads: a matrix-vector product rounds differently on
+    a Fortran-ordered matrix."""
+    M = np.array(M, dtype=float, order="C", ndmin=ndmin)
+    M.flags.writeable = False
+    return M
 
-    The public step functions check what they are given with this: `solve_spd`
+
+def intake(arguments: dict, vectors=()) -> list[np.ndarray]:
+    """Each value of the name -> value dict `arguments`, in order, `_freeze`d
+    with at least one axis if its name is in `vectors`, else two; ValueError
+    names the first that holds a nan or inf (None, as a float array, is nan).
+
+    Every public function takes its array arguments with this: `solve_spd`
     takes an inf on the diagonal of S as positive definite and solves around
     it, and a nan would only come back as nan results.  Runs check their
     schedules once, in `validate`, and call the private kernels.
     """
-    for name, value in arguments.items():
-        if not np.isfinite(np.asarray(value, dtype=float)).all():
+    frozen = [_freeze(value, 1 if name in vectors else 2) for name, value in arguments.items()]
+    for name, value in zip(arguments, frozen):
+        if not np.isfinite(value).all():
             raise ValueError(f"{name} has non-finite entries (nan or inf)")
+    return frozen
 
 
 def matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:

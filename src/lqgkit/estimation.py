@@ -9,15 +9,15 @@ current predicted mean.
 """
 from __future__ import annotations
 
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import check_finite, matvec, solve_spd, spectral_radius, symmetrize
+from ._linalg import _freeze, intake, matvec, solve_spd, spectral_radius, symmetrize
 from .lqr import _steady_riccati
-from .model import (LtvSystem, NoiseModel, ValidationError, _field_violations, _freeze,
-                    _noise_rows)
+from .model import LtvSystem, NoiseModel, ValidationError, _field_violations, _noise_rows
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class Belief:
     """State estimate with its error covariance at tag = (k, l).
 
     cov is None for a fixed-gain (Luenberger) observer, which computes none.
-    Both are stored as read-only C-ordered copies (see `model._freeze`).
+    Both are stored as read-only C-ordered copies (see `_linalg._freeze`).
     """
 
     mean: np.ndarray
@@ -33,9 +33,9 @@ class Belief:
     tag: tuple[int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.atleast_1d(_freeze(self.mean)))
+        object.__setattr__(self, "mean", _freeze(self.mean, 1))
         if self.cov is not None:
-            object.__setattr__(self, "cov", np.atleast_2d(_freeze(self.cov)))
+            object.__setattr__(self, "cov", _freeze(self.cov, 2))
 
 
 class BeliefSequence(Sequence):
@@ -114,10 +114,8 @@ def luenberger_step(A: np.ndarray, B: np.ndarray, C: np.ndarray, L: np.ndarray,
 
     ValueError names an argument that holds a nan or inf.
     """
-    A, B, C, L = (np.atleast_2d(_freeze(M)) for M in (A, B, C, L))
-    x_hat, u, y = (np.atleast_1d(_freeze(v)) for v in (x_hat, u, y))
-    check_finite({"A": A, "B": B, "C": C, "L": L, "x_hat": x_hat, "u": u, "y": y})
-    return _observer_update(A, B, C, L, x_hat, u, y)
+    return _observer_update(*intake({"A": A, "B": B, "C": C, "L": L, "x_hat": x_hat, "u": u,
+                                     "y": y}, vectors=("x_hat", "u", "y")))
 
 
 def _observer_update(A, B, C, L, x_hat, u, y):
@@ -198,13 +196,13 @@ def predictor_step(A_k, B_k, C_k, Qd_k, Rv_k, belief: Belief, u_k, y_k
 
     ValueError names an argument that holds a nan or inf.
     """
-    A_k, B_k, C_k, Qd_k, Rv_k = (np.atleast_2d(_freeze(M)) for M in (A_k, B_k, C_k, Qd_k, Rv_k))
-    u_k, y_k = np.atleast_1d(_freeze(u_k)), np.atleast_1d(_freeze(y_k))
-    check_finite({"A_k": A_k, "B_k": B_k, "C_k": C_k, "Qd_k": Qd_k, "Rv_k": Rv_k,
-                  "belief.mean": belief.mean, "belief.cov": belief.cov, "u_k": u_k, "y_k": y_k})
-    L, cov = _predictor_gain(A_k, C_k, Qd_k, Rv_k, belief.cov)
+    A_k, B_k, C_k, Qd_k, Rv_k, mean, P, u_k, y_k = intake(
+        {"A_k": A_k, "B_k": B_k, "C_k": C_k, "Qd_k": Qd_k, "Rv_k": Rv_k,
+         "belief.mean": belief.mean, "belief.cov": belief.cov, "u_k": u_k, "y_k": y_k},
+        vectors=("belief.mean", "u_k", "y_k"))
+    L, cov = _predictor_gain(A_k, C_k, Qd_k, Rv_k, P)
     k = belief.tag[0]
-    mean = _observer_update(A_k, B_k, C_k, L, belief.mean, u_k, y_k)
+    mean = _observer_update(A_k, B_k, C_k, L, mean, u_k, y_k)
     return Belief(mean, cov, (k + 1, k)), L
 
 
@@ -213,13 +211,12 @@ def filter_predict(A_prev, B_prev, Qd_prev, belief: Belief, u_prev) -> Belief:
 
     ValueError names an argument that holds a nan or inf.
     """
-    A_prev, B_prev, Qd_prev = (np.atleast_2d(_freeze(M)) for M in (A_prev, B_prev, Qd_prev))
-    u_prev = np.atleast_1d(_freeze(u_prev))
-    check_finite({"A_prev": A_prev, "B_prev": B_prev, "Qd_prev": Qd_prev,
-                  "belief.mean": belief.mean, "belief.cov": belief.cov, "u_prev": u_prev})
-    mean = _advance(A_prev, belief.mean, matvec(B_prev, u_prev))
+    A_prev, B_prev, Qd_prev, mean, P, u_prev = intake(
+        {"A_prev": A_prev, "B_prev": B_prev, "Qd_prev": Qd_prev, "belief.mean": belief.mean,
+         "belief.cov": belief.cov, "u_prev": u_prev}, vectors=("belief.mean", "u_prev"))
     k = belief.tag[0]
-    return Belief(mean=mean, cov=_time_update(A_prev, Qd_prev, belief.cov), tag=(k + 1, k))
+    return Belief(mean=_advance(A_prev, mean, matvec(B_prev, u_prev)),
+                  cov=_time_update(A_prev, Qd_prev, P), tag=(k + 1, k))
 
 
 def filter_update(C_k, Rv_k, belief: Belief, y_k) -> tuple[Belief, np.ndarray]:
@@ -231,12 +228,11 @@ def filter_update(C_k, Rv_k, belief: Belief, y_k) -> tuple[Belief, np.ndarray]:
 
     ValueError names an argument that holds a nan or inf.
     """
-    C_k, Rv_k = np.atleast_2d(_freeze(C_k)), np.atleast_2d(_freeze(Rv_k))
-    y_k = np.atleast_1d(_freeze(y_k))
-    check_finite({"C_k": C_k, "Rv_k": Rv_k, "belief.mean": belief.mean,
-                  "belief.cov": belief.cov, "y_k": y_k})
-    L, cov = _filter_gain(C_k, Rv_k, belief.cov)
-    mean = _correct(belief.mean, L, y_k - matvec(C_k, belief.mean))
+    C_k, Rv_k, mean, P, y_k = intake(
+        {"C_k": C_k, "Rv_k": Rv_k, "belief.mean": belief.mean, "belief.cov": belief.cov,
+         "y_k": y_k}, vectors=("belief.mean", "y_k"))
+    L, cov = _filter_gain(C_k, Rv_k, P)
+    mean = _correct(mean, L, y_k - matvec(C_k, mean))
     k = belief.tag[0]
     return Belief(mean=mean, cov=cov, tag=(k, k)), L
 
@@ -409,10 +405,18 @@ class _StackedPass:
                             plan.smoother_gains, self.innovations[s])
 
 
-# The last plan `_estimate` built and its key (kind, system, noise), compared
-# by identity and held, so no id is reused while cached.  Sound because
+# The last plan `_estimate` built and its key: the kind, and weak references
+# to the system and noise model, compared by identity.  Sound because
 # LtvSystem and NoiseModel are frozen and every array they hold is read-only.
+# The plan holds neither object, so once the caller drops either, its
+# reference's callback clears the memo and the plan's schedules are freed.
 _last_plan = (None, None, None, None)
+
+
+def _forget_plan(ref: weakref.ref) -> None:
+    global _last_plan
+    if ref in _last_plan:
+        _last_plan = (None, None, None, None)
 
 
 def _estimate(kind: str, system: LtvSystem, noise: NoiseModel, inputs, measurements
@@ -434,13 +438,14 @@ def _estimate(kind: str, system: LtvSystem, noise: NoiseModel, inputs, measureme
         recorded.append(value)
     inputs, measurements = recorded
     last_kind, last_system, last_noise, plan = _last_plan
-    if kind != last_kind or system is not last_system or noise is not last_noise:
+    if kind != last_kind or system is not last_system() or noise is not last_noise():
         report = [line for value, name, shape, length, _ in _noise_rows(system, noise)
                   for line in _field_violations(value, name, shape, length)]
         if report:
             raise ValidationError(report)
         plan = _EstimatorPlan(kind, system, noise)
-        _last_plan = (kind, system, noise, plan)
+        _last_plan = (kind, weakref.ref(system, _forget_plan), weakref.ref(noise, _forget_plan),
+                      plan)
     stacked = _StackedPass(plan.A, plan.C, plan, 1)
     Bu = matvec(plan.B, inputs)     # every B_k u_k in one stacked product
     for k in range(system.N):
@@ -503,9 +508,10 @@ def solve_dare_estimator(A: np.ndarray, C: np.ndarray, Qd: np.ndarray, Rv: np.nd
     (P overflowed: (A, C) is not detectable) stops the iteration at once
     with ConvergenceError, and so does a residual stalled above tol (see
     `lqr.solve_dare_lqr`).  An innovation covariance that is not positive
-    definite raises LinAlgError naming it, with the solve's diagnostic.
+    definite raises LinAlgError naming it, with the solve's diagnostic, and
+    ValueError names an argument that holds a nan or inf.
     """
-    A, C, Qd, Rv = (np.atleast_2d(_freeze(M)) for M in (A, C, Qd, Rv))
+    A, C, Qd, Rv = intake({"A": A, "C": C, "Qd": Qd, "Rv": Rv})
     P, K, iterations, residual = _steady_riccati(
         A.T, C.T, Qd, Rv, np.eye(A.shape[0]), tol, max_iter, "estimator",
         "estimator innovation covariance")

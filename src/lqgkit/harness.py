@@ -21,16 +21,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import matvec, psd_factor
+from ._linalg import _freeze, intake, matvec, psd_factor
 from .estimation import EstimatorRun, _EstimatorPlan, _StackedPass
 from .lqr import (
     RiccatiSolution,
     SettlingReport,
     _costs,
     _settling_reports,
+    _solve_lqr,
     _stabilizability_report,
-    solve_dare_lqr,
-    solve_lqr,
+    _steady_riccati,
 )
 from .model import (
     LqrWeights,
@@ -40,7 +40,7 @@ from .model import (
     Trajectory,
     ValidationError,
     _field_violations,
-    _freeze,
+    _require_finite,
     validate,
 )
 from .stochastic import GaussianStream, _predraw
@@ -62,7 +62,7 @@ class Scenario:
     actually uses while the estimator keeps believing noise.Qd / noise.Rv
     (the scaled-standard-normal convention of the estimation experiment).
     x0, fixed_gain and luenberger_gain are stored as read-only C-ordered
-    copies (see `model._freeze`), so a run depends on their values alone.
+    copies (see `_linalg._freeze`), so a run depends on their values alone.
     """
 
     system: LtvSystem
@@ -80,10 +80,9 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        for name, shaped in (("x0", np.atleast_1d), ("fixed_gain", np.atleast_2d),
-                             ("luenberger_gain", np.atleast_2d)):
+        for name, ndmin in (("x0", 1), ("fixed_gain", 2), ("luenberger_gain", 2)):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, shaped(_freeze(getattr(self, name))))
+                object.__setattr__(self, name, _freeze(getattr(self, name), ndmin))
 
 
 @dataclass
@@ -201,12 +200,14 @@ def _controller_gains(s: Scenario, tol: float, max_iter: int
         return None, None
     if s.controller == "fixed":
         return MatrixSchedule.constant(s.fixed_gain, s.system.N), None
+    # the schedules are validated: the private kernels take them as they are
     if s.controller == "lqr":
-        solution = solve_lqr(s.system, s.weights)
+        solution = _solve_lqr(s.system, s.weights)
         return solution.K, solution
-    steady = solve_dare_lqr(s.system.A[0], s.system.B[0], s.weights.Q[0], s.weights.R[0],
-                            tol=tol, max_iter=max_iter)
-    return MatrixSchedule.constant(steady.K, s.system.N), None
+    Q = s.weights.Q[0]
+    K = _steady_riccati(s.system.A[0], s.system.B[0], Q, s.weights.R[0], Q, tol, max_iter,
+                        "LQR")[1]
+    return MatrixSchedule.constant(K, s.system.N), None
 
 
 @dataclass(frozen=True)
@@ -329,17 +330,19 @@ def simulate_closed_loop(system: LtvSystem, gains, x0: np.ndarray) -> Trajectory
     of one seed with no noise model.
 
     `gains` is a gain schedule, a single fixed gain matrix, or a
-    RiccatiSolution (whose K schedule is used).
+    RiccatiSolution (whose K schedule is used).  ValueError names the
+    argument, or the schedule entry, that holds a nan or inf.
     """
     if isinstance(gains, RiccatiSolution):
         gains = gains.K
     if not isinstance(gains, MatrixSchedule):
-        gains = MatrixSchedule.constant(np.atleast_2d(np.asarray(gains, dtype=float)), system.N)
+        gains = MatrixSchedule.constant(gains, system.N)
     if len(gains) != system.N:
         raise ValueError(f"gain schedule length {len(gains)} does not match horizon {system.N}")
     if gains.shape != (system.m, system.n):
         raise ValueError(f"gain shape {gains.shape}, expected ({system.m}, {system.n})")
-    scenario = Scenario(system, x0=np.asarray(x0, dtype=float))   # given; None reads as [nan]
+    _require_finite({"A": system.A, "B": system.B, "gains": gains})
+    scenario = Scenario(system, x0=intake({"x0": x0}, vectors=("x0",))[0])
     runs = _simulate(_Plan(scenario, gains, None, None), [0])[0]
     return Trajectory(states=runs.states[0], inputs=runs.inputs[0])
 

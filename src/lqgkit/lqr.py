@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import ConvergenceError, check_finite, solve_spd, spectral_radius, symmetrize
-from .model import LqrWeights, LtvSystem, MatrixSchedule, Trajectory, _freeze
+from ._linalg import ConvergenceError, intake, solve_spd, spectral_radius, symmetrize
+from .model import LqrWeights, LtvSystem, MatrixSchedule, Trajectory, _require_finite
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,7 @@ def dre_step(A_k: np.ndarray, B_k: np.ndarray, Q_k: np.ndarray, R_k: np.ndarray,
     factorization failure signals a violated R > 0 precondition.  ValueError
     names an argument that holds a nan or inf.
     """
-    A_k, B_k, Q_k, R_k, P_next = (np.atleast_2d(_freeze(M)) for M in (A_k, B_k, Q_k, R_k, P_next))
-    check_finite({"A_k": A_k, "B_k": B_k, "Q_k": Q_k, "R_k": R_k, "P_next": P_next})
-    return _dre_step(A_k, B_k, Q_k, R_k, P_next)
+    return _dre_step(*intake({"A_k": A_k, "B_k": B_k, "Q_k": Q_k, "R_k": R_k, "P_next": P_next}))
 
 
 def _dre_step(A_k, B_k, Q_k, R_k, P_next, context="LQR gain solve"):
@@ -93,7 +91,16 @@ def _dre_step(A_k, B_k, Q_k, R_k, P_next, context="LQR gain solve"):
 
 
 def solve_lqr(system: LtvSystem, weights: LqrWeights) -> RiccatiSolution:
-    """Backward recursion from P_N = Q_N down to k = 0."""
+    """Backward recursion from P_N = Q_N down to k = 0.
+
+    ValueError names the first schedule entry that holds a nan or inf.
+    """
+    _require_finite({"A": system.A, "B": system.B, "Q": weights.Q, "R": weights.R})
+    return _solve_lqr(system, weights)
+
+
+def _solve_lqr(system: LtvSystem, weights: LqrWeights) -> RiccatiSolution:
+    """solve_lqr on schedules taken as they are."""
     N, n, m = system.N, system.n, system.m
     A, B, Q, R = system.A.stack, system.B.stack, weights.Q.stack, weights.R.stack
     P = np.empty((N + 1, n, n))
@@ -105,13 +112,19 @@ def solve_lqr(system: LtvSystem, weights: LqrWeights) -> RiccatiSolution:
 
 
 def evaluate_cost(trajectory: Trajectory, weights: LqrWeights) -> float:
-    """Quadratic cost x_N^T Q_N x_N + sum_k (x_k^T Q_k x_k + u_k^T R_k u_k)."""
-    xs, us = trajectory.states, trajectory.inputs
+    """Quadratic cost x_N^T Q_N x_N + sum_k (x_k^T Q_k x_k + u_k^T R_k u_k).
+
+    ValueError names the trajectory field, or the weight entry, that holds a
+    nan or inf.
+    """
+    xs, us = intake({"trajectory.states": trajectory.states,
+                     "trajectory.inputs": trajectory.inputs})
     N = xs.shape[0] - 1
     if us.shape[0] != N:
         raise ValueError(f"{us.shape[0]} inputs for {N + 1} states")
     if len(weights.Q) != N + 1 or len(weights.R) != N:
         raise ValueError(f"weights sized for horizon {len(weights.R)}, trajectory has {N}")
+    _require_finite({"Q": weights.Q, "R": weights.R})
     return float(_costs(xs[None], us[None], weights)[0])
 
 
@@ -215,9 +228,10 @@ def solve_dare_lqr(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
     which usually means the pair (A, B) is not stabilizable; a non-finite
     residual (P overflowed) raises it at once, with the iteration reached,
     and a residual stalled at its rounding floor above tol raises it
-    _STALL_WINDOW iterations after its best.
+    _STALL_WINDOW iterations after its best.  ValueError names an argument
+    that holds a nan or inf.
     """
-    A, B, Q, R = (np.atleast_2d(_freeze(M)) for M in (A, B, Q, R))
+    A, B, Q, R = intake({"A": A, "B": B, "Q": Q, "R": R})
     P, K, iterations, residual = _steady_riccati(A, B, Q, R, Q, tol, max_iter, "LQR")
     return SteadyStateLqr(P=P, K=K, iterations=iterations, residual=residual,
                           closed_loop_spectral_radius=spectral_radius(A - B @ K))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFINITENESS_TOL, definiteness
+from ._linalg import DEFINITENESS_TOL, _freeze, definiteness
 from .stochastic import GaussianVector
 
 
@@ -22,14 +22,6 @@ class ValidationError(ValueError):
     def __init__(self, violations: list[str]):
         super().__init__("invalid configuration:\n  " + "\n  ".join(violations))
         self.violations = violations
-
-
-def _freeze(M) -> np.ndarray:
-    """A read-only C-ordered float copy of M, the one layout every run reads:
-    a matrix-vector product rounds differently on a Fortran-ordered matrix."""
-    M = np.array(M, dtype=float, order="C")
-    M.flags.writeable = False
-    return M
 
 
 class MatrixSchedule:
@@ -150,8 +142,8 @@ class LqrWeights:
     @classmethod
     def constant(cls, Q, R, *, horizon: int) -> "LqrWeights":
         return cls(
-            Q=MatrixSchedule.constant(np.asarray(Q, dtype=float), horizon + 1),
-            R=MatrixSchedule.constant(np.atleast_2d(np.asarray(R, dtype=float)), horizon),
+            Q=MatrixSchedule.constant(Q, horizon + 1),
+            R=MatrixSchedule.constant(R, horizon),
         )
 
 
@@ -169,14 +161,14 @@ class NoiseModel:
     P0: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x0_mean", np.atleast_1d(_freeze(self.x0_mean)))
-        object.__setattr__(self, "P0", np.atleast_2d(_freeze(self.P0)))
+        object.__setattr__(self, "x0_mean", _freeze(self.x0_mean, 1))
+        object.__setattr__(self, "P0", _freeze(self.P0, 2))
 
     @classmethod
     def constant(cls, Qd, Rv, x0_mean, P0, *, horizon: int) -> "NoiseModel":
         return cls(
-            Qd=MatrixSchedule.constant(np.asarray(Qd, dtype=float), horizon),
-            Rv=MatrixSchedule.constant(np.atleast_2d(np.asarray(Rv, dtype=float)), horizon),
+            Qd=MatrixSchedule.constant(Qd, horizon),
+            Rv=MatrixSchedule.constant(Rv, horizon),
             x0_mean=x0_mean,
             P0=P0,
         )
@@ -239,6 +231,15 @@ def _field_violations(value, name: str, shape: tuple[int, ...] | None = None,
             if not holds:
                 report.append(f"{entry(i)} is not {kind} (tol {DEFINITENESS_TOL})")
     return report
+
+
+def _require_finite(schedules: dict) -> None:
+    """ValueError with the finiteness line of `_field_violations` (as `Q[2]
+    has non-finite entries (nan or inf)`) for the first schedule, of the
+    name -> schedule dict, that holds a nan or inf."""
+    for name, schedule in schedules.items():
+        for line in _field_violations(schedule, name):
+            raise ValueError(line)
 
 
 def validate(system: LtvSystem, weights: LqrWeights | None = None,

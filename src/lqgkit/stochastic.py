@@ -12,26 +12,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import check_finite, psd_factor, solve_spd, symmetrize
+from ._linalg import _freeze, intake, psd_factor, solve_spd, symmetrize
 
 _TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class GaussianVector:
-    """Mean vector and covariance matrix of a Gaussian random vector."""
+    """Mean vector and covariance matrix of a Gaussian random vector, stored
+    as read-only C-ordered copies (see `_linalg._freeze`)."""
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        n = mean.shape[0]
-        if cov.shape != (n, n):
-            raise ValueError(f"cov must be ({n}, {n}), got {cov.shape}")
+        object.__setattr__(self, "mean", _freeze(self.mean, 1))
+        object.__setattr__(self, "cov", _freeze(self.cov, 2))
+        n = self.mean.shape[0]
+        if self.cov.shape != (n, n):
+            raise ValueError(f"cov must be ({n}, {n}), got {self.cov.shape}")
 
     @property
     def dim(self) -> int:
@@ -40,7 +39,8 @@ class GaussianVector:
 
 @dataclass(frozen=True)
 class JointGaussian:
-    """Jointly Gaussian (x, y) described by block means and covariances."""
+    """Jointly Gaussian (x, y) described by block means and covariances,
+    stored as read-only C-ordered copies (see `_linalg._freeze`)."""
 
     mean_x: np.ndarray
     mean_y: np.ndarray
@@ -49,10 +49,9 @@ class JointGaussian:
     cov_yy: np.ndarray
 
     def __post_init__(self):
-        for name in ("mean_x", "mean_y"):
-            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), float)))
-        for name in ("cov_xx", "cov_xy", "cov_yy"):
-            object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), float)))
+        for name in ("mean_x", "mean_y", "cov_xx", "cov_xy", "cov_yy"):
+            ndmin = 1 if name.startswith("mean") else 2
+            object.__setattr__(self, name, _freeze(getattr(self, name), ndmin))
         n, p = self.mean_x.shape[0], self.mean_y.shape[0]
         if self.cov_xx.shape != (n, n) or self.cov_yy.shape != (p, p) or self.cov_xy.shape != (n, p):
             raise ValueError("joint covariance blocks do not conform to the block means")
@@ -120,7 +119,9 @@ def _predraw(streams: list[GaussianStream], head: int, counts: tuple[int, ...], 
 
 
 def gaussian_pdf(x: float, mean: float, var: float) -> float:
-    """Scalar Gaussian density at x."""
+    """Scalar Gaussian density at x; ValueError names an argument that holds
+    a nan or inf."""
+    intake({"x": x, "mean": mean, "var": var})
     if var <= 0.0:
         raise ValueError(f"variance must be positive, got {var}")
     d = x - mean
@@ -131,16 +132,17 @@ def multivariate_gaussian_pdf(x: np.ndarray, g: GaussianVector) -> float:
     """Multivariate Gaussian density at x.
 
     Determinant and quadratic form both come from one Cholesky factorization;
-    singular covariances raise LinAlgError.
+    singular covariances raise LinAlgError.  ValueError names an argument
+    that holds a nan or inf.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != g.mean.shape:
+    x, mean, cov = intake({"x": x, "g.mean": g.mean, "g.cov": g.cov}, vectors=("x", "g.mean"))
+    if x.shape != mean.shape:
         raise ValueError(f"x must have shape {g.mean.shape}, got {x.shape}")
     try:
-        chol = np.linalg.cholesky(symmetrize(g.cov))
+        chol = np.linalg.cholesky(symmetrize(cov))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"covariance is singular or indefinite: {exc}") from exc
-    z = np.linalg.solve(chol, x - g.mean)
+    z = np.linalg.solve(chol, x - mean)
     quad = float(z @ z)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     n = g.dim
@@ -157,16 +159,17 @@ def condition(joint: JointGaussian, y_obs: np.ndarray) -> GaussianVector:
     forming the inverse.  ValueError names a block of `joint`, or y_obs,
     that holds a nan or inf.
     """
-    y_obs = np.atleast_1d(np.asarray(y_obs, dtype=float))
-    if y_obs.shape != joint.mean_y.shape:
-        raise ValueError(f"y_obs must have shape {joint.mean_y.shape}, got {y_obs.shape}")
-    check_finite({"joint.mean_x": joint.mean_x, "joint.mean_y": joint.mean_y,
-                  "joint.cov_xx": joint.cov_xx, "joint.cov_xy": joint.cov_xy,
-                  "joint.cov_yy": joint.cov_yy, "y_obs": y_obs})
+    mean_x, mean_y, cov_xx, cov_xy, cov_yy, y_obs = intake(
+        {"joint.mean_x": joint.mean_x, "joint.mean_y": joint.mean_y,
+         "joint.cov_xx": joint.cov_xx, "joint.cov_xy": joint.cov_xy,
+         "joint.cov_yy": joint.cov_yy, "y_obs": y_obs},
+        vectors=("joint.mean_x", "joint.mean_y", "y_obs"))
+    if y_obs.shape != mean_y.shape:
+        raise ValueError(f"y_obs must have shape {mean_y.shape}, got {y_obs.shape}")
     # G^T = V(y)^-1 V(y,x); V(y) symmetric.
-    gain = solve_spd(joint.cov_yy, joint.cov_xy.T, "conditioning on y").T
-    mean = joint.mean_x + gain @ (y_obs - joint.mean_y)
-    cov = symmetrize(joint.cov_xx - gain @ joint.cov_xy.T)
+    gain = solve_spd(cov_yy, cov_xy.T, "conditioning on y").T
+    mean = mean_x + gain @ (y_obs - mean_y)
+    cov = symmetrize(cov_xx - gain @ cov_xy.T)
     return GaussianVector(mean=mean, cov=cov)
 
 
@@ -175,10 +178,12 @@ def sample_gaussian(g: GaussianVector, stream: GaussianStream, count: int = 1) -
 
     Each sample is mean + S z with S S^T = cov (Cholesky, eigendecomposition
     fallback for semidefinite cov) and z from the stream; one stream call of
-    count * n normals is consumed, in sample-major order.
+    count * n normals is consumed, in sample-major order.  ValueError names
+    a field of g that holds a nan or inf.
     """
-    S = psd_factor(g.cov)
+    mean, cov = intake({"g.mean": g.mean, "g.cov": g.cov}, vectors=("g.mean",))
+    S = psd_factor(cov)
     n = g.dim
     z = stream.standard_normal(count * n).reshape(count, n)
-    return g.mean + z @ S.T
+    return mean + z @ S.T
 
