@@ -135,15 +135,16 @@ def _certified(S: np.ndarray, size: np.ndarray, bound: float) -> bool:
     return bool(np.all(np.isfinite(factor)))
 
 
-class _Flagged(Exception):
-    """A floating-point flag raised on the lean path of `solve_spd`."""
+class _Invalid(Exception):
+    """The "invalid" flag of a gufunc behind `np.linalg`: its LAPACK call failed."""
 
 
-def _flagged(kind: str, flag: int):
-    raise _Flagged(kind)
+def _invalid(err: str, flag: int):
+    raise _Invalid
 
 
-def solve_spd(S: np.ndarray, B: np.ndarray, context) -> np.ndarray:
+def solve_spd(S: np.ndarray, B: np.ndarray, context, out: np.ndarray | None = None
+              ) -> np.ndarray:
     """Solve S X = B for symmetric positive definite S, certified by Cholesky.
 
     S is one float matrix or an (..., n, n) stack, B an (..., n, r) stack
@@ -155,67 +156,61 @@ def solve_spd(S: np.ndarray, B: np.ndarray, context) -> np.ndarray:
     the only scratch is one entry's (see _TRIANGULAR_MAX_ORDER).  Raises
     LinAlgError naming `context` when S is not numerically PD, a violated
     definiteness precondition upstream.  `context` is a string, or for a
-    stack a function of the flat index of the first entry that is not PD
-    which returns one.
+    stack a function of the flat index in S of the first entry that is not
+    PD which returns one.  `out`, for one S, receives the solution.
 
-    The solve first calls the gufuncs behind `np.linalg.cholesky` and
+    The solve calls the gufuncs behind `np.linalg.cholesky` and
     `np.linalg.solve` (`solve1` for a 1-D right-hand side, as `solve` picks)
-    with every floating-point flag trapped.  A gufunc flags "invalid" exactly
-    when its LAPACK call fails, which is when `np.linalg` raises; on an
-    unflagged result `np.linalg` returns the same bits, so it is returned.
-    Any flag, from the symmetrization too, discards the result and reruns
-    the whole solve through `np.linalg` under the caller's errstate, so
-    every error, warning and NaN outcome is the `np.linalg` one.
+    under the error policy `np.linalg` calls them with: a gufunc flags
+    "invalid" exactly when its LAPACK call fails, and that flag raises
+    `np.linalg`'s error, while the symmetrization runs under the caller's
+    errstate, as it does before `np.linalg`'s calls.  So every result,
+    error and warning is the one those `np.linalg` calls give.
     """
     name = (lambda i: context) if isinstance(context, str) else context
     triangular = S.shape[-1] <= _TRIANGULAR_MAX_ORDER
-    try:
-        with np.errstate(all="call", call=_flagged):
-            if not triangular and S.ndim > 2:
-                return _lu_entry_by_entry(S, B)
-            sym = symmetrize(S)
-            solve = _umath_linalg.solve1 if B.ndim == 1 else _umath_linalg.solve
-            if not triangular:
-                _umath_linalg.cholesky_lo(sym)      # certifies S; the factor is freed
-                return solve(sym, B)
+    if not triangular and S.ndim > 2:
+        return _lu_entry_by_entry(S, B, name)
+    sym = symmetrize(S)
+    solve = _umath_linalg.solve1 if B.ndim == 1 else _umath_linalg.solve
+    with np.errstate(all="ignore", invalid="call", call=_invalid):
+        try:
             L = _umath_linalg.cholesky_lo(sym)
+        except _Invalid:
+            raise np.linalg.LinAlgError(f"{name(_first_not_pd(sym))}: matrix is not positive "
+                                        "definite (Matrix is not positive definite)") from None
+        try:
+            if not triangular:
+                return solve(sym, B, out=out)       # L only certified S
             Y = solve(L, B)
             return (_umath_linalg.solve1 if Y.ndim == 1 else _umath_linalg.solve)(
-                L.swapaxes(-1, -2), Y)
-    except _Flagged:
-        pass
-    S = symmetrize(S)
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"{name(_first_not_pd(S))}: matrix is not positive "
-                                    f"definite ({exc})") from exc
-    if not triangular:
-        return np.linalg.solve(S, B)
-    return np.linalg.solve(L.swapaxes(-1, -2), np.linalg.solve(L, B))
+                L.swapaxes(-1, -2), Y, out=out)
+        except _Invalid:
+            raise np.linalg.LinAlgError("Singular matrix") from None
 
 
-def _lu_entry_by_entry(S: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The certified LU solve of `solve_spd` for each entry of a stack S,
-    written into one output of `np.linalg.solve(S, B)`'s shape."""
+def _lu_entry_by_entry(S: np.ndarray, B: np.ndarray, name) -> np.ndarray:
+    """`solve_spd` of each entry of a stack S, written into one output of
+    `np.linalg.solve(S, B)`'s shape.  A failing entry is named by its flat
+    index in S, not in the broadcast batch; the loop meets S's entries in
+    flat order, so the first to fail is S's first that is not PD."""
     core = B.shape[-1:] if B.ndim == 1 else B.shape[-2:]
     batch = np.broadcast_shapes(S.shape[:-2], B.shape[:B.ndim - len(core)])
+    own = np.broadcast_to(np.arange(S[..., 0, 0].size).reshape(S.shape[:-2]), batch)
     S, B = np.broadcast_to(S, batch + S.shape[-2:]), np.broadcast_to(B, batch + core)
-    solve = _umath_linalg.solve1 if len(core) == 1 else _umath_linalg.solve
     X = np.empty(batch + core)
     for i in np.ndindex(batch):
-        sym = symmetrize(S[i])
-        _umath_linalg.cholesky_lo(sym)      # certifies S_i; the factor is freed
-        solve(sym, B[i], out=X[i])
+        solve_spd(S[i], B[i], lambda _: name(int(own[i])), X[i])
     return X
 
 
 def _first_not_pd(S: np.ndarray) -> int:
-    """Flat index of the first entry of S that numpy's Cholesky rejects."""
+    """Flat index of the first entry of S that numpy's Cholesky rejects;
+    called under `solve_spd`'s error policy."""
     for i, entry in enumerate(S.reshape(-1, *S.shape[-2:])):
         try:
-            np.linalg.cholesky(entry)
-        except np.linalg.LinAlgError:
+            _umath_linalg.cholesky_lo(entry)
+        except _Invalid:
             return i
     raise AssertionError("a stacked Cholesky failed on no single entry")
 

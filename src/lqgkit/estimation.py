@@ -17,7 +17,8 @@ import numpy as np
 
 from ._linalg import _freeze, intake, matvec, solve_spd, spectral_radius, symmetrize
 from .lqr import _steady_riccati
-from .model import LtvSystem, NoiseModel, ValidationError, _field_violations, _noise_rows
+from .model import (LtvSystem, NoiseModel, ValidationError, _field_violations, _noise_rows,
+                    _require_finite)
 
 
 @dataclass(frozen=True)
@@ -422,23 +423,23 @@ def _forget_plan(ref: weakref.ref) -> None:
 def _estimate(kind: str, system: LtvSystem, noise: NoiseModel, inputs, measurements
               ) -> EstimatorRun:
     """One stacked pass of a `kind` plan over recorded inputs (N, m) and
-    measurements (N, p); ValueError naming the argument on any other shape,
-    or naming C on a system without one.  Consecutive calls on one
-    (system, noise) share the plan, built once the noise model's shapes,
-    lengths and finiteness pass (else ValidationError naming each field)."""
+    measurements (N, p); ValueError naming the argument on a nan or inf or
+    any other shape, or naming C on a system without one.  Consecutive calls
+    on one (system, noise) share the plan, built once A, B and C are finite
+    (else ValueError naming the entry) and the noise model's shapes, lengths
+    and finiteness pass (else ValidationError naming each field)."""
     global _last_plan
     if system.C is None:
         raise ValueError("system must have a measurement matrix C, got None")
-    recorded = []
+    inputs, measurements = intake({"inputs": inputs, "measurements": measurements},
+                                  vectors=("inputs", "measurements"))
     for name, value, width in (("inputs", inputs, "m"), ("measurements", measurements, "p")):
-        value = np.asarray(value, dtype=float)
         shape = (system.N, getattr(system, width))
         if value.shape != shape:
             raise ValueError(f"{name} must have shape (N, {width}) = {shape}, got {value.shape}")
-        recorded.append(value)
-    inputs, measurements = recorded
     last_kind, last_system, last_noise, plan = _last_plan
     if kind != last_kind or system is not last_system() or noise is not last_noise():
+        _require_finite({"A": system.A, "B": system.B, "C": system.C})
         report = [line for value, name, shape, length, _ in _noise_rows(system, noise)
                   for line in _field_violations(value, name, shape, length)]
         if report:
@@ -486,7 +487,8 @@ def smoother_run(system: LtvSystem, noise: NoiseModel, filtered: EstimatorRun) -
 
     The gain solves the symmetric system P_{k+1|k} X = A_k P_{k|k} (X = Ls^T);
     a singular predicted covariance (possible only with a degenerate Qd) is
-    an error.
+    an error.  `noise` is not read: the filter run holds every covariance
+    the pass needs, and the parameter stays for compatibility.
     """
     predicted, updated = filtered.predicted, filtered.updated
     if len(updated) != len(predicted) + 1:

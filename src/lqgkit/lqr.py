@@ -34,8 +34,9 @@ class RiccatiSolution:
         return len(self.K)
 
     def optimal_cost(self, x0: np.ndarray) -> float:
-        """Value function at the initial state: x0^T P_0 x0."""
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        """Value function at the initial state: x0^T P_0 x0; ValueError on a
+        nan or inf in x0."""
+        x0 = intake({"x0": x0}, vectors=("x0",))[0]
         return float(x0 @ self.P[0] @ x0)
 
 

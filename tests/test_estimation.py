@@ -381,6 +381,10 @@ def test_recorded_data_checks_the_noise_model(estimator, noise, message):
 
 I2, INF_RV, NAN_RV = np.eye(2), np.diag([np.inf, 1.0]), np.diag([np.nan, 1.0])
 PRIOR = Belief(np.zeros(2), np.eye(2), (0, -1))
+ZEROS = np.zeros((5, 1))
+NAN_AT_1, INF_AT_1 = (np.array([[0.0], [bad], [0.0], [0.0], [0.0]]) for bad in (np.nan, np.inf))
+INF_C2 = LtvSystem(2, 1, 1, 5, bench_system(5).A, bench_system(5).B,
+                   MatrixSchedule.of([C_BENCH] * 2 + [[[np.inf, 0.0]]] + [C_BENCH] * 2))
 
 
 @pytest.mark.parametrize("call, name", [
@@ -407,17 +411,26 @@ PRIOR = Belief(np.zeros(2), np.eye(2), (0, -1))
     (lambda: sample_gaussian(GaussianVector(np.zeros(2), NAN_RV), GaussianStream(0)), "g.cov"),
     (lambda: multivariate_gaussian_pdf([np.nan, 0.0], GaussianVector(np.zeros(2), I2)), "x"),
     (lambda: gaussian_pdf(0.0, np.nan, 1.0), "mean"),
+    (lambda: filter_run(bench_system(5, True), bench_noise(5), ZEROS, NAN_AT_1), "measurements"),
+    (lambda: predictor_run(bench_system(5, True), bench_noise(5), INF_AT_1, ZEROS), "inputs"),
+    (lambda: filter_run(LtvSystem.lti(NAN_RV, B_BENCH, C_BENCH, horizon=5), bench_noise(5),
+                        ZEROS, ZEROS), "A"),
+    (lambda: predictor_run(INF_C2, bench_noise(5), ZEROS, ZEROS), "C[2]"),
+    (lambda: solve_lqr(bench_system(5), bench_weights(5)).optimal_cost([np.nan, 1.0]), "x0"),
 ], ids=["filter_update inf Rv", "filter_update nan Rv", "filter_update nan belief",
         "filter_update observer belief",
         "predictor_step inf Rv", "filter_predict nan Qd", "luenberger_step inf y",
         "dre_step inf P", "condition inf cov_yy", "solve_dare_lqr nan A",
         "solve_dare_estimator nan C", "solve_lqr nan Q entry", "simulate_closed_loop nan x0",
         "simulate_closed_loop inf gain", "evaluate_cost nan R", "sample_gaussian nan cov",
-        "multivariate_gaussian_pdf nan x", "gaussian_pdf nan mean"])
+        "multivariate_gaussian_pdf nan x", "gaussian_pdf nan mean",
+        "filter_run nan measurement", "predictor_run inf input", "filter_run nan A",
+        "predictor_run inf C entry", "optimal_cost nan x0"])
 def test_step_functions_name_a_non_finite_argument(call, name):
     # an inf on the diagonal of an SPD solve's S passes its Cholesky and drops
     # that row (filter_update's mean came back [0, 0.5]); a nan came back as
-    # nan means, and the DARE solvers reported it as a diverged iteration.
+    # nan means (the recorded-data runs' final mean read [nan, nan]), and the
+    # DARE solvers reported it as a diverged iteration.
     # Every public numeric function refuses both, naming the argument (a
     # schedule's entry by its index), and takes a fixed-gain observer's
     # belief (no covariance) as a nan one

@@ -4,8 +4,10 @@ no scipy at run time.
 Every order is certified by numpy's Cholesky; orders up to
 `_TRIANGULAR_MAX_ORDER` are solved with the factor's two triangles, larger
 ones with one LU solve of S.  scipy's `cho_factor`/`cho_solve` is the oracle
-for both.  The solve calls numpy's linalg gufuncs directly; the `np.linalg`
-calls it stands for are its oracle, bit for bit and failure for failure.
+for both.  The solve calls numpy's linalg gufuncs directly, under the error
+policy `np.linalg` calls them with, and makes no `np.linalg` call on any
+path, a failing one included; the `np.linalg` calls it stands for are its
+oracle, bit for bit and failure for failure.
 """
 import json
 import os
@@ -18,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from numpy.linalg import _umath_linalg
 
 from lqgkit import ConvergenceError, solve_dare_lqr
 from lqgkit._linalg import _TRIANGULAR_MAX_ORDER, solve_spd, symmetrize
@@ -109,6 +112,11 @@ def test_stack_names_its_first_failing_entry(n):
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"^gain solve at k=2: matrix is not positive definite \("):
         solve_spd(S, B, lambda i: f"gain solve at k={i}")
+    # broadcast against a right-hand side, the entry keeps S's own index: in
+    # the (2, 3) batch of a (2, 1) stack, S's entry 1 is first met at 3
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"^gain solve at k=1: matrix is not positive definite \("):
+        solve_spd(S[1:3, None], np.ones((1, 3, n, 1)), lambda i: f"gain solve at k={i}")
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"^gain solve: matrix is not positive definite \("):
         solve_spd(S, B, "gain solve")
@@ -166,9 +174,28 @@ def test_numpy_path_makes_no_np_linalg_call(monkeypatch):
     for name in ("cholesky", "solve"):
         monkeypatch.setattr(np.linalg, name, refuse)
     for n in (*ORDERS, *LARGE_ORDERS):
-        solve_spd(spd(n, 5), np.ones((n, 2)), "test")
-        with pytest.raises(AssertionError, match="np.linalg called"):
-            solve_spd(-spd(n, 5), np.ones((n, 2)), "test")      # a failure falls back
+        for stack in ((), (3,)):
+            S = np.broadcast_to(spd(n, 5), stack + (n, n))
+            solve_spd(S, np.ones((n, 2)), "test")
+            # a failure raises its own diagnostic, with no np.linalg call to rerun
+            with pytest.raises(np.linalg.LinAlgError, match=r"^test: matrix is not positive "
+                               r"definite \(Matrix is not positive definite\)$"):
+                solve_spd(-S, np.ones((n, 2)), "test")
+
+
+@pytest.mark.parametrize("n", [2, 16])
+@pytest.mark.parametrize("rhs", [(), (2,)], ids=["vector", "n x 2"])
+def test_failed_solve_raises_as_np_linalg(monkeypatch, n, rhs):
+    # a solve gufunc whose LAPACK call fails (a zero pivot) returns nan and
+    # flags "invalid"; under np.linalg's error policy that is "Singular matrix"
+    def failed(a, b, **kwargs):
+        return np.sqrt(-np.ones(b.shape))
+
+    for name in ("solve", "solve1"):
+        monkeypatch.setattr(_umath_linalg, name, failed)
+    S, B = spd(n, 7), np.ones((n, *rhs))
+    got = outcome(lambda S, B: solve_spd(S, B, "test"), S, B)
+    assert got == outcome(np_linalg_solve, S, B) == (np.linalg.LinAlgError, "Singular matrix")
 
 
 NOT_PD = "ctx: matrix is not positive definite (Matrix is not positive definite)"
@@ -197,12 +224,12 @@ def test_failures_as_np_linalg_without_warnings(S, B, raised):
 @pytest.mark.parametrize("case", ["indefinite S", "NaN in S", "inf in S", "inf in B",
                                   "opposite infs in S"])
 def test_lu_failures_as_np_linalg_without_warnings(n, case):
-    # above _TRIANGULAR_MAX_ORDER the fallback is np.linalg's Cholesky and
-    # LU solve: an indefinite S raises numpy's own diagnostic, and a
-    # non-finite input gives np.linalg's result (NaN entries, or for an
-    # inf pivot a finite one), warning of nothing.  Opposite infs make the
-    # symmetrization warn, as it does in np.linalg's calls; with that warning
-    # off they run the fallback's solve
+    # above _TRIANGULAR_MAX_ORDER the oracle is np.linalg's Cholesky and LU
+    # solve: an indefinite S raises numpy's own diagnostic, and a non-finite
+    # input gives np.linalg's result (NaN entries, or for an inf pivot a
+    # finite one), warning of nothing.  Opposite infs make the
+    # symmetrization warn, as it does before np.linalg's calls; with that
+    # warning off the solve runs on its NaN entries
     S, B = spd(n, 6), np.ones((n, 2))
     i = n // 2
     if case == "indefinite S":

@@ -322,6 +322,30 @@ def test_steady_lqr_matches_scipy(n, m, seed):
     assert np.abs(P - P_ref).max() <= 1e-8 * np.abs(P_ref).max()
 
 
+def _scipy_closed_loop_radius(A, B, Q, R):
+    """max|eigvals(A - B K)| for the gain K of scipy's DARE solution."""
+    P = sla.solve_discrete_are(A, B, Q, R)
+    K = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+    return max(abs(np.linalg.eigvals(A - B @ K)))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_spectral_radii_are_the_largest_closed_loop_eigenvalues(seed):
+    # fig1's system (seed None) and random pairs with eigenvalues of unequal
+    # size; the estimator is the dual problem, A - L C = (A^T - C^T L^T)^T
+    if seed is None:
+        A, B, C = A_BENCH, B_BENCH, C_BENCH
+    else:
+        rng = np.random.default_rng(seed)
+        A, B, C = (rng.uniform(-1.0, 1.0, shape) for shape in ((3, 3), (3, 2), (1, 3)))
+    Q, R = np.eye(len(A)), np.eye(B.shape[1])
+    rho = solve_dare_lqr(A, B, Q, R, tol=1e-12).closed_loop_spectral_radius
+    assert rho == pytest.approx(_scipy_closed_loop_radius(A, B, Q, R), rel=1e-8)
+    rho = solve_dare_estimator(A, C, Q, np.eye(len(C)), tol=1e-12).observer_spectral_radius
+    assert rho == pytest.approx(_scipy_closed_loop_radius(A.T, C.T, Q, np.eye(len(C))),
+                                rel=1e-8)
+
+
 class TestMayneMurdoch:
     def test_no_motion_zero_gain(self):
         lam = np.array([0.3, 0.7])

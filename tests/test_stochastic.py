@@ -160,6 +160,19 @@ class TestSampleGaussian:
         with pytest.raises(np.linalg.LinAlgError):
             sample_gaussian(g, GaussianStream(1))
 
+    @pytest.mark.parametrize("least, indefinite", [(-1e-6, True), (-1e-12, False)])
+    def test_indefiniteness_threshold(self, least, indefinite):
+        # psd_factor takes a least eigenvalue down to -1e-9 relative to the
+        # largest as rounding, and rejects one below it
+        V = np.linalg.qr(np.random.default_rng(11).standard_normal((3, 3)))[0]
+        cov = (V * [4.0, 1.0, 4.0 * least]) @ V.T
+        g = GaussianVector(mean=np.zeros(3), cov=0.5 * (cov + cov.T))
+        if indefinite:
+            with pytest.raises(np.linalg.LinAlgError, match="^covariance is indefinite"):
+                sample_gaussian(g, GaussianStream(1))
+        else:
+            assert np.isfinite(sample_gaussian(g, GaussianStream(1), count=3)).all()
+
 
 class TestGaussianStream:
     def test_deterministic(self):
