@@ -9,7 +9,6 @@ current predicted mean.
 """
 from __future__ import annotations
 
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 from ._linalg import _freeze, intake, matvec, solve_spd, spectral_radius, symmetrize
 from .lqr import _steady_riccati
 from .model import (LtvSystem, NoiseModel, ValidationError, _field_violations, _noise_rows,
-                    _require_finite)
+                    _planned, _require_finite)
 
 
 @dataclass(frozen=True)
@@ -406,29 +405,16 @@ class _StackedPass:
                             plan.smoother_gains, self.innovations[s])
 
 
-# The last plan `_estimate` built and its key: the kind, and weak references
-# to the system and noise model, compared by identity.  Sound because
-# LtvSystem and NoiseModel are frozen and every array they hold is read-only.
-# The plan holds neither object, so once the caller drops either, its
-# reference's callback clears the memo and the plan's schedules are freed.
-_last_plan = (None, None, None, None)
-
-
-def _forget_plan(ref: weakref.ref) -> None:
-    global _last_plan
-    if ref in _last_plan:
-        _last_plan = (None, None, None, None)
-
-
 def _estimate(kind: str, system: LtvSystem, noise: NoiseModel, inputs, measurements
               ) -> EstimatorRun:
     """One stacked pass of a `kind` plan over recorded inputs (N, m) and
     measurements (N, p); ValueError naming the argument on a nan or inf or
-    any other shape, or naming C on a system without one.  Consecutive calls
-    on one (system, noise) share the plan, built once A, B and C are finite
-    (else ValueError naming the entry) and the noise model's shapes, lengths
-    and finiteness pass (else ValidationError naming each field)."""
-    global _last_plan
+    any other shape, or naming C on a system without one.  The plan is built
+    once per kind and (system, noise) pair of live objects and kept while
+    both live (see `model._planned`), once A, B and C are finite (else
+    ValueError naming the entry) and the noise model's shapes, lengths,
+    finiteness and definiteness pass (else ValidationError naming each
+    field): Qd, Rv and P0 must be symmetric positive semidefinite."""
     if system.C is None:
         raise ValueError("system must have a measurement matrix C, got None")
     inputs, measurements = intake({"inputs": inputs, "measurements": measurements},
@@ -437,16 +423,17 @@ def _estimate(kind: str, system: LtvSystem, noise: NoiseModel, inputs, measureme
         shape = (system.N, getattr(system, width))
         if value.shape != shape:
             raise ValueError(f"{name} must have shape (N, {width}) = {shape}, got {value.shape}")
-    last_kind, last_system, last_noise, plan = _last_plan
-    if kind != last_kind or system is not last_system() or noise is not last_noise():
+
+    def build() -> _EstimatorPlan:
         _require_finite({"A": system.A, "B": system.B, "C": system.C})
-        report = [line for value, name, shape, length, _ in _noise_rows(system, noise)
-                  for line in _field_violations(value, name, shape, length)]
+        # Rv only semidefinite: the solve decides a near-singular S itself
+        report = [line for value, name, shape, length, definite in _noise_rows(system, noise)
+                  for line in _field_violations(value, name, shape, length,
+                                                None if definite is None else False)]
         if report:
             raise ValidationError(report)
-        plan = _EstimatorPlan(kind, system, noise)
-        _last_plan = (kind, weakref.ref(system, _forget_plan), weakref.ref(noise, _forget_plan),
-                      plan)
+        return _EstimatorPlan(kind, system, noise)
+    plan = _planned((system, noise), kind, build)
     stacked = _StackedPass(plan.A, plan.C, plan, 1)
     Bu = matvec(plan.B, inputs)     # every B_k u_k in one stacked product
     for k in range(system.N):

@@ -17,7 +17,6 @@ noise-free one.
 from __future__ import annotations
 
 import numbers
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +40,7 @@ from .model import (
     Trajectory,
     ValidationError,
     _field_violations,
+    _planned,
     _require_finite,
     validate,
 )
@@ -221,7 +221,7 @@ class _Plan:
     kept here: `_simulate` makes them where it draws the noise, so they live
     no longer than the draw.  The plan does not hold its scenario, so the
     memo's weak reference to the scenario is the only link between them
-    (see `_plan`).
+    (see `model._planned`).
     """
 
     gains: MatrixSchedule | None
@@ -245,26 +245,10 @@ def _build_plan(s: Scenario, tol: float, max_iter: int) -> _Plan:
     return _Plan(gains, riccati, estimator)
 
 
-# id(scenario) -> (weak reference to the scenario, (tol, max_iter), its plan).
-# Sound because Scenario, LtvSystem, LqrWeights and NoiseModel are frozen and
-# every array they hold is a read-only copy, so one Scenario object always
-# plans the same.  The key is the object, not its values: replace(s, seed=...)
-# is a new object with a plan of its own.  The plan does not hold its
-# scenario, so once the caller drops the scenario its reference's callback
-# removes the entry and the plan's schedules are freed.
-_plans: dict[int, tuple[weakref.ref, tuple[float, int], _Plan]] = {}
-
-
 def _plan(s: Scenario, tol: float, max_iter: int) -> _Plan:
-    """The plan of scenario s, built on the first call for the object and
-    the (tol, max_iter) pair and reused after; a build that raises stores
-    nothing, so an invalid scenario raises on every call."""
-    ref, solver, plan = _plans.get(id(s), (None, None, None))
-    if ref is None or ref() is not s or solver != (tol, max_iter):
-        plan = _build_plan(s, tol, max_iter)
-        ref = weakref.ref(s, lambda _, key=id(s), plans=_plans: plans.pop(key, None))
-        _plans[id(s)] = (ref, (tol, max_iter), plan)
-    return plan
+    """The plan of scenario s, built once per Scenario object and (tol,
+    max_iter) pair by `model._planned`."""
+    return _planned((s,), (tol, max_iter), lambda: _build_plan(s, tol, max_iter))
 
 
 def _simulate(s: Scenario, plan: _Plan, seeds: list[int]
@@ -331,7 +315,7 @@ def run(scenario: Scenario, tol: float = 1e-10, max_iter: int = 100_000) -> RunR
     system, feeds measurements to the configured estimator, and applies
     u_k = -K_k times the true state or the causal estimate.  The one-seed
     case of `monte_carlo`, and like it reuses the plan of an earlier call
-    on the same Scenario object (see `sweep`).
+    on the same Scenario object (see `sweep` and `model._planned`).
     """
     plan = _plan(scenario, tol, max_iter)
     runs, stacked = _simulate(scenario, plan, [scenario.seed])
@@ -380,9 +364,10 @@ def monte_carlo(scenario: Scenario, seeds, tol: float = 1e-10,
     The scenario's own seed is not used.  Seeds must be non-negative
     integers (ValidationError otherwise).  The seed-independent half
     (validation, controller synthesis, estimator gain and covariance
-    schedules) is built once per Scenario object, as in `sweep`; the noise
-    factors are made per call.  Row s of every stacked array equals the
-    matching array of `run(replace(scenario, seed=seeds[s]))` bit for bit.
+    schedules) is built once per Scenario object, as in `sweep` (see
+    `model._planned`); the noise factors are made per call.  Row s of every
+    stacked array equals the matching array of `run(replace(scenario,
+    seed=seeds[s]))` bit for bit.
     """
     seeds = [_sweep_value("seed", seed) for seed in seeds]
     return _simulate(scenario, _plan(scenario, tol, max_iter), seeds)[0]
@@ -480,7 +465,8 @@ def sweep(scenario: Scenario, axis: str, values, tol: float = 1e-10,
     for bit.  That plan is kept for the Scenario object, not its values:
     later `sweep`, `monte_carlo` and `run` calls on the same object with the
     same tol and max_iter reuse it, `replace(scenario, seed=...)` is a new
-    object with a plan of its own, and the plan is freed with its scenario.
+    object with a plan of its own, and the plan is freed with its scenario
+    (see `model._planned`).
     """
     values = [_sweep_value(axis, v) for v in values]
     if axis == "seed":

@@ -8,12 +8,37 @@ filter at times 1..N; entry i is addressed by position i in both cases
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import DEFINITENESS_TOL, _freeze, definiteness
 from .stochastic import GaussianVector
+
+
+# (*map(id, owners), settings) -> (weak references to the owners, their plan).
+# Sound because LtvSystem, LqrWeights, NoiseModel and Scenario are frozen and
+# every array they hold is a read-only copy, so one tuple of owner objects
+# always plans the same.  The key is the objects, not their values:
+# replace(s, seed=...) is a new object with a plan of its own.  A plan holds
+# none of its owners, so once the caller drops any of them its reference's
+# callback removes the entry and the plan's arrays are freed at once.
+_plans: dict[tuple, tuple[tuple[weakref.ref, ...], object]] = {}
+
+
+def _planned(owners: tuple, settings, build):
+    """build(), built once for each tuple of live owner objects and each
+    hashable `settings` value and reused after; a build that raises stores
+    nothing, so an invalid model raises on every call."""
+    key = (*map(id, owners), settings)
+    entry = _plans.get(key)
+    if entry is not None and all(ref() is owner for ref, owner in zip(entry[0], owners)):
+        return entry[1]
+    plan = build()
+    forget = lambda _, key=key, plans=_plans: plans.pop(key, None)
+    _plans[key] = (tuple(weakref.ref(owner, forget) for owner in owners), plan)
+    return plan
 
 
 class ValidationError(ValueError):

@@ -51,7 +51,7 @@ from lqgkit import (
     solve_dare_lqr,
     solve_lqr,
 )
-from lqgkit import estimation, harness, parse_scenario
+from lqgkit import estimation, harness, model, parse_scenario
 from lqgkit.estimation import BeliefSequence
 from lqgkit._linalg import solve_spd, symmetrize
 from lqgkit.model import LtvSystem, MatrixSchedule, NoiseModel
@@ -370,7 +370,14 @@ def test_recorded_data_needs_a_measurement_matrix(estimator):
     (lambda: NoiseModel(MatrixSchedule.of([np.eye(2)] * 4), bench_noise(5).Rv,
                         np.zeros(3), np.eye(2)),
      "Qd has length 4, expected 5\n  x0_mean has shape (3,), expected (2,)"),
-], ids=["3x3 Qd", "2x2 Rv at p=1", "NaN P0", "short Qd and long x0_mean"])
+    (lambda: bench_noise(5, Rv=[[-0.1]]), "Rv is not positive semidefinite (tol 1e-09)"),
+    (lambda: bench_noise(5, Qd=[[1.0, 0.5], [0.0, 1.0]]), "Qd is not symmetric"),
+    (lambda: bench_noise(5, Qd=np.diag([1.0, -1e-3])),
+     "Qd is not positive semidefinite (tol 1e-09)"),
+    (lambda: bench_noise(5, P0=[[1.0, 0.0], [0.0, -1.0]]),
+     "P0 is not positive semidefinite (tol 1e-09)"),
+], ids=["3x3 Qd", "2x2 Rv at p=1", "NaN P0", "short Qd and long x0_mean", "negative Rv",
+        "asymmetric Qd", "indefinite Qd", "indefinite P0"])
 def test_recorded_data_checks_the_noise_model(estimator, noise, message):
     # before any arithmetic, so no broadcast error or silent NaN mean
     with pytest.raises(ValidationError) as excinfo:
@@ -645,13 +652,24 @@ class TestStepFunctionsAreOneStepOfTheRuns:
 
 
 class TestPlanMemo:
-    """Consecutive recorded-data runs on one (system, noise) share one plan."""
+    """Recorded-data runs on one (system, noise) pair share one plan per kind."""
 
     def recorded(self, N, seed):
         system, noise = bench_system(N, with_output=True), bench_noise(N)
         _, inputs, measurements = simulate_measured(system, noise, K_STEADY,
                                                     GaussianStream(seed), "filter")
         return system, noise, inputs, measurements
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The kinds `estimation._EstimatorPlan` was built for, in call order."""
+        built, build = [], estimation._EstimatorPlan
+
+        def counted(kind, system, noise):
+            built.append(kind)
+            return build(kind, system, noise)
+        monkeypatch.setattr(estimation, "_EstimatorPlan", counted)
+        return built
 
     def test_new_model_gets_a_new_plan(self):
         N = 6
@@ -668,6 +686,14 @@ class TestPlanMemo:
         predicted = predictor_run(doubled, noise, inputs, measurements)    # kind is in the key
         assert predicted.predicted.covs.shape == (N + 1, 2, 2)
 
+    def test_alternating_kinds_keep_a_plan_each(self, builds):
+        system, noise, inputs, measurements = self.recorded(6, 2)
+        runs = [estimator(system, noise, inputs, measurements)
+                for estimator in (filter_run, predictor_run, filter_run, predictor_run)]
+        assert builds == ["filter", "predictor"]
+        assert runs[2].updated.covs is runs[0].updated.covs
+        assert runs[3].predicted.covs is runs[1].predicted.covs
+
     @pytest.mark.parametrize("estimator", [filter_run, predictor_run])
     def test_results_equal_without_the_memo(self, estimator, monkeypatch):
         N = 9
@@ -676,7 +702,7 @@ class TestPlanMemo:
         cached = [estimator(system, noise, u, y) for u, y in runs]
         fresh = []
         for u, y in runs:
-            monkeypatch.setattr(estimation, "_last_plan", (None, None, None, None))
+            monkeypatch.setattr(model, "_plans", {})
             fresh.append(estimator(system, noise, u, y))
         for a, b in zip(cached, fresh):
             for beliefs in ("predicted", "updated"):
@@ -687,6 +713,16 @@ class TestPlanMemo:
         if estimator is filter_run:
             smoothed = [smoother_run(system, noise, run).smoothed for run in (cached[-1], fresh[-1])]
             assert same(smoothed[0].means, smoothed[1].means)
+
+    def test_dropping_the_noise_model_alone_drops_the_plan(self, builds):
+        system, noise, inputs, measurements = self.recorded(6, 3)
+        filter_run(system, noise, inputs, measurements)
+        key = (id(system), id(noise), "filter")
+        assert key in model._plans
+        del noise
+        assert key not in model._plans
+        filter_run(system, bench_noise(6), inputs, measurements)
+        assert builds == ["filter", "filter"]
 
     def test_memo_lets_go_when_the_caller_does(self):
         # the memo holds the system and noise model weakly, and the plan holds
@@ -705,13 +741,14 @@ class TestPlanMemo:
                                Rv=MatrixSchedule.constant(np.eye(p), N),
                                x0_mean=np.zeros(n), P0=np.eye(n))
             filter_run(system, noise, np.zeros((N, m)), rng.standard_normal((N, p)))
-            assert estimation._last_plan[3] is not None
+            key = (id(system), id(noise), "filter")
+            assert key in model._plans
             del W, system, noise
             gc.collect()
             traced = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert estimation._last_plan == (None, None, None, None)
+        assert key not in model._plans
         assert traced < 2**20
 
 

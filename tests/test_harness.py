@@ -38,7 +38,7 @@ from lqgkit import (
     smoother_run,
     sweep,
 )
-from lqgkit import harness
+from lqgkit import harness, model
 from lqgkit.cli import _bundled_scenario
 from lqgkit._linalg import psd_factor
 from lqgkit.harness import (CONTROLLERS, ESTIMATORS, FEEDBACK, _config_violations,
@@ -572,9 +572,9 @@ class TestPlanMemo:
         cached = [sweep(s, "seed", block) for block in blocks] + [monte_carlo(s, blocks[0])]
         fresh = []
         for block in blocks:
-            monkeypatch.setattr(harness, "_plans", {})
+            monkeypatch.setattr(model, "_plans", {})
             fresh.append(sweep(s, "seed", block))
-        monkeypatch.setattr(harness, "_plans", {})
+        monkeypatch.setattr(model, "_plans", {})
         fresh.append(monte_carlo(s, blocks[0]))
         assert cached[:-1] == fresh[:-1]
         for point in itertools.chain(*cached[:-1]):
@@ -600,13 +600,19 @@ class TestPlanMemo:
         sweep(s, "R-scale", [1.0, 2.0])
         assert len(builds) == 6 and all(b is not s for b in builds[4:])
 
+    def test_each_solver_setting_keeps_its_plan(self, builds):
+        s = fig4_scenario()
+        for tol in (1e-10, 1e-9, 1e-10):
+            run(s, tol=tol)
+        assert builds == [s, s]
+
     def test_invalid_scenario_raises_on_every_call(self, builds):
         s = replace(fig4_scenario(), controller="fixed")
         for call in (lambda: sweep(s, "seed", [1]), lambda: run(s),
                      lambda: sweep(s, "seed", [1])):
             with pytest.raises(ValidationError, match="controller 'fixed' requires fixed_gain"):
                 call()
-        assert builds == [s] * 3 and id(s) not in harness._plans
+        assert builds == [s] * 3 and not any(key[0] == id(s) for key in model._plans)
 
     def test_memo_lets_go_when_the_caller_does(self):
         # the memo holds the scenario weakly and the plan does not hold it, so
@@ -615,7 +621,7 @@ class TestPlanMemo:
         n, m, p, N = 64, 16, 16, 100
         gc.collect()
         gc.disable()
-        planned = set(harness._plans)
+        planned = set(model._plans)
         tracemalloc.start()
         try:
             rng = np.random.default_rng(1)
@@ -630,7 +636,7 @@ class TestPlanMemo:
             s = Scenario(system=system, weights=weights, noise=noise, controller="lqr",
                          estimator="smoother", x0=None, seed=4)
             run(s)
-            assert id(s) in harness._plans
+            assert (id(s), (1e-10, 100_000)) in model._plans
             held = tracemalloc.get_traced_memory()[0]
             del W, system, noise, weights, s
             traced = tracemalloc.get_traced_memory()[0]
@@ -638,5 +644,5 @@ class TestPlanMemo:
             tracemalloc.stop()
             gc.enable()
         assert held > 10 * 2**20
-        assert set(harness._plans) == planned
+        assert set(model._plans) == planned
         assert traced < 2**20
