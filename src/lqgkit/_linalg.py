@@ -229,7 +229,10 @@ def psd_factor(cov: np.ndarray) -> np.ndarray:
     square root for semidefinite inputs (singular disturbance covariances are
     legitimate).  Raises LinAlgError on indefinite input.  One stacked
     Cholesky factors a stack of definite entries, each as it would be on its
-    own; only a semidefinite entry makes a stack go entry by entry.
+    own; only a semidefinite entry makes a stack go entry by entry.  So a
+    stack may be factored in blocks of entries with the same bits, as a run
+    factors its truth's noise schedules: a block at a time, no larger than
+    the noise it scales (see `harness._scaled`).
     """
     if cov.shape[-1] == 0:
         return np.zeros(cov.shape)

@@ -27,6 +27,7 @@ from .lqr import (
     RiccatiSolution,
     SettlingReport,
     _costs,
+    _gain_drift,
     _settling_reports,
     _solve_lqr,
     _stabilizability_report,
@@ -217,16 +218,19 @@ class _Plan:
 
     Validation, controller synthesis and the estimator's gain and covariance
     schedules depend on the scenario but not on its seed; `_simulate` makes
-    the seeds' pass.  The factors of the truth's noise covariances are not
-    kept here: `_simulate` makes them where it draws the noise, so they live
-    no longer than the draw.  The plan does not hold its scenario, so the
-    memo's weak reference to the scenario is the only link between them
-    (see `model._planned`).
+    the seeds' pass.  Under an `lqr` controller `drift` holds each step's
+    max|K_k - K_0| (N,), read once here for every seed's settling report
+    (see `lqr._gain_drift`).  The factors of the truth's noise covariances
+    are not kept here: `_simulate` makes them a block at a time where it
+    draws the noise, so they live no longer than that block's draw.  The
+    plan does not hold its scenario, so the memo's weak reference to the
+    scenario is the only link between them (see `model._planned`).
     """
 
     gains: MatrixSchedule | None
     riccati: RiccatiSolution | None
     estimator: _EstimatorPlan | None
+    drift: np.ndarray | None
 
 
 def _violations(s: Scenario) -> list[str]:
@@ -242,7 +246,8 @@ def _build_plan(s: Scenario, tol: float, max_iter: int) -> _Plan:
     estimator = None
     if s.estimator != "none":
         estimator = _EstimatorPlan(s.estimator, s.system, s.noise, s.luenberger_gain)
-    return _Plan(gains, riccati, estimator)
+    return _Plan(gains, riccati, estimator,
+                 _gain_drift(riccati.K) if riccati is not None else None)
 
 
 def _plan(s: Scenario, tol: float, max_iter: int) -> _Plan:
@@ -251,17 +256,39 @@ def _plan(s: Scenario, tol: float, max_iter: int) -> _Plan:
     return _planned((s,), (tol, max_iter), lambda: _build_plan(s, tol, max_iter))
 
 
+def _scaled(cov: MatrixSchedule, z: np.ndarray) -> np.ndarray:
+    """F_k z[s, k] for every seed s and step k of the normals z (S, N, r),
+    where F_k F_k^T = cov_k: the truth's noise, d or v.
+
+    `psd_factor` factors cov's distinct entries a block at a time, each
+    block at most max(1, S N // r) entries, so a block's factors are never
+    larger than the (S, N, r) noise they scale; a constant cov is one
+    entry and one call.  Each entry is factored, and each row scaled, as on
+    its own, so the block size changes no bit.
+    """
+    entries = cov.distinct()
+    if len(entries) == 1:
+        return matvec(psd_factor(entries), z)
+    S, N, r = z.shape
+    block = max(1, S * N // max(r, 1))
+    scaled = np.empty(z.shape)
+    for k in range(0, N, block):
+        scaled[:, k:k + block] = matvec(psd_factor(entries[k:k + block]), z[:, k:k + block])
+    return scaled
+
+
 def _simulate(s: Scenario, plan: _Plan, seeds: list[int]
               ) -> tuple[MonteCarloResult, _StackedPass]:
     """Draw each seed's noise, then move every seed's true state and
     estimate means together, one stacked product per matrix and step.
 
     The noise is the seeds' normals times factors of P0 (for a sampled x0
-    without x0_std) and of the truth's Qd and Rv (sim_Qd, sim_Rv if set),
-    one `psd_factor` call each per pass.  The factors die once x0, d and v
-    exist, so the pass holds none of them.  Returns the stacked runs with
-    the pass that made them.  A run with a given x0 and no noise model
-    draws nothing.
+    without x0_std) and of the truth's Qd and Rv (sim_Qd, sim_Rv if set).
+    P0 is one `psd_factor` call; Qd and Rv are factored a block of distinct
+    entries at a time, no larger than the noise they scale (see `_scaled`).
+    So the pass holds no factor, and no factor stack outgrows d or v.
+    Returns the stacked runs with the pass that made them.  A run with a
+    given x0 and no noise model draws nothing.
     """
     est = plan.estimator
     system, noise = s.system, s.noise
@@ -278,10 +305,9 @@ def _simulate(s: Scenario, plan: _Plan, seeds: list[int]
         x = noise.x0_mean + s.x0_std * heads
     else:
         x = noise.x0_mean + matvec(psd_factor(noise.P0), heads)
-    d = (matvec(psd_factor((s.sim_Qd if s.sim_Qd is not None else noise.Qd).distinct()), z[0])
+    d = (_scaled(s.sim_Qd if s.sim_Qd is not None else noise.Qd, z[0])
          if noise is not None else np.zeros((S, N, n)))
-    v = (matvec(psd_factor((s.sim_Rv if s.sim_Rv is not None else noise.Rv).distinct()), z[1])
-         if measuring else None)
+    v = _scaled(s.sim_Rv if s.sim_Rv is not None else noise.Rv, z[1]) if measuring else None
 
     stacked = _StackedPass(system.A.stack, system.C.stack if measuring else None, est, S,
                            (x, d, v))
@@ -301,8 +327,8 @@ def _simulate(s: Scenario, plan: _Plan, seeds: list[int]
         seeds=list(seeds), states=stacked.states, inputs=inputs, outputs=stacked.outputs,
         estimates=estimates, innovations=stacked.innovations,
         costs=_costs(stacked.states, inputs, s.weights) if s.weights is not None else None,
-        settling=(_settling_reports(plan.riccati, stacked.states)
-                  if plan.riccati is not None else None),
+        settling=(_settling_reports(plan.drift, stacked.states)
+                  if plan.drift is not None else None),
         covariances=est.reported if est is not None else None,
     )
     return result, stacked
@@ -353,7 +379,7 @@ def simulate_closed_loop(system: LtvSystem, gains, x0: np.ndarray) -> Trajectory
         raise ValueError(f"gain shape {gains.shape}, expected ({system.m}, {system.n})")
     _require_finite({"A": system.A, "B": system.B, "gains": gains})
     scenario = Scenario(system, x0=intake({"x0": x0}, vectors=("x0",))[0])
-    runs = _simulate(scenario, _Plan(gains, None, None), [0])[0]
+    runs = _simulate(scenario, _Plan(gains, None, None, None), [0])[0]
     return Trajectory(states=runs.states[0], inputs=runs.inputs[0])
 
 

@@ -277,12 +277,23 @@ def settling_report(solution: RiccatiSolution, trajectory: Trajectory,
     N = trajectory.states.shape[0] - 1
     if len(solution.K) != N:
         raise ValueError(f"solution horizon {len(solution.K)} does not match trajectory {N}")
-    return _settling_reports(solution, trajectory.states[None], epsilon)[0]
+    return _settling_reports(_gain_drift(solution.K), trajectory.states[None], epsilon)[0]
 
 
-def _settling_reports(solution: RiccatiSolution, xs: np.ndarray,
+def _gain_drift(K: MatrixSchedule) -> np.ndarray:
+    """max|K_k - K_0| of each entry of a gain schedule, (N,): the drift a
+    settling report compares with epsilon.  Taken step by step, so no
+    (N, m, n) difference stack is made; a run's plan takes it once for
+    all its seeds."""
+    gains = K.stack
+    return np.array([np.abs(K_k - gains[0]).max() for K_k in gains])
+
+
+def _settling_reports(drift: np.ndarray, xs: np.ndarray,
                       epsilon: float | None = None) -> list[SettlingReport]:
-    """settling_report of each stacked state trajectory xs, (S, N+1, n)."""
+    """settling_report of each stacked state trajectory xs, (S, N+1, n),
+    given its gain schedule's `_gain_drift`: one (S, N) comparison of that
+    one drift with each run's epsilon."""
     N = xs.shape[1] - 1
     if epsilon is None:
         eps = np.array([1e-2 * float(np.linalg.norm(x0)) for x0 in xs[:, 0]])
@@ -293,9 +304,7 @@ def _settling_reports(solution: RiccatiSolution, xs: np.ndarray,
     after = np.logical_and.accumulate(settled[:, ::-1], axis=1)[:, ::-1]
     k_x = np.where(after.any(axis=1), after.argmax(axis=1), N)
     # k_K: the last j of the leading run of gains within eps of K_0 (0 if none).
-    K = solution.K.stack
-    drift = K - K[0]
-    within = np.abs(drift, out=drift).max(axis=(1, 2))[None, :] <= eps[:, None]
+    within = drift[None, :] <= eps[:, None]
     leading = np.where(within.all(axis=1), N, within.argmin(axis=1))
     k_K = np.maximum(leading - 1, 0)
     return [SettlingReport(k_x=int(a), k_K=int(b), epsilon=float(e))

@@ -57,6 +57,16 @@ MUTANTS = (
     Mutant("recorded-noise-definiteness-unchecked", "estimation.py",
            "None if definite is None else False", "None",
            ("tests/test_estimation.py",)),
+    Mutant("truth-draws-believed-Qd", "harness.py",
+           "_scaled(s.sim_Qd if s.sim_Qd is not None else noise.Qd, z[0])",
+           "_scaled(noise.Qd, z[0])",
+           ("tests/test_harness.py",)),
+    Mutant("noise-blocks-reuse-first-factors", "harness.py",
+           "psd_factor(entries[k:k + block])", "psd_factor(entries[:block])",
+           ("tests/test_harness.py",)),
+    Mutant("k_K-off-by-one", "lqr.py",
+           "np.maximum(leading - 1, 0)", "np.maximum(leading, 0)",
+           ("tests/test_lqr.py",)),
     Mutant("steady-estimator-from-zero", "estimation.py",
            'np.eye(A.shape[0]), tol, max_iter, "estimator"',
            'np.zeros_like(A), tol, max_iter, "estimator"',

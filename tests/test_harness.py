@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from conftest import (
     same,
 )
 from lqgkit import (
+    GaussianStream,
     LqrWeights,
     LtvSystem,
     MonteCarloResult,
@@ -40,6 +41,7 @@ from lqgkit import (
 )
 from lqgkit import harness, model
 from lqgkit.cli import _bundled_scenario
+from lqgkit.estimation import BeliefSequence
 from lqgkit._linalg import psd_factor
 from lqgkit.harness import (CONTROLLERS, ESTIMATORS, FEEDBACK, _config_violations,
                              _violations)
@@ -513,6 +515,89 @@ def test_factor_stack_rejects_an_indefinite_entry():
     entries = np.array([np.eye(3), np.diag([1.0, 0.0, 2.0]), np.diag([1.0, -1.0, 2.0])])
     with pytest.raises(np.linalg.LinAlgError, match="covariance is indefinite"):
         psd_factor(entries)
+
+
+def psd_schedule(rng, r, N, singular):
+    """A time-varying PSD schedule of N entries of order r, entry `singular`
+    (if any) semidefinite."""
+    W = rng.standard_normal((N, r, r))
+    entries = W @ W.swapaxes(1, 2) + 0.1 * np.eye(r)
+    if singular is not None:
+        entries[singular] = np.diag(np.arange(r) % 2 * 1.5)
+    return MatrixSchedule(entries)
+
+
+@pytest.mark.parametrize("n, p, N, seeds, singular", [
+    pytest.param(4, 3, 5, [11], 2, id="one-entry-blocks"),       # 5 // 4 = 5 // 3 = 1
+    pytest.param(2, 1, 7, [11], 4, id="several-entry-blocks"),   # 7 // 2 = 3, a ragged last
+    pytest.param(4, 3, 5, [11, 0, 7], 2, id="stacked-seeds"),    # 15 // 4 = 3, 15 // 3 = 5
+    pytest.param(0, 1, 3, [11, 2], None, id="order-0"),
+])
+def test_truth_noise_is_each_entry_factor_times_replayed_normals(n, p, N, seeds, singular):
+    # with A = C = 0 and no controller, x_{k+1} = d_k and y_k = v_k exactly, so
+    # the states and outputs are the truth's factors times the stream's normals,
+    # replayed call by call in the documented order (d_k, then v_k, per step)
+    rng = np.random.default_rng(n + 10 * N)
+    zeros = MatrixSchedule.constant
+    system = LtvSystem(n=n, m=1, p=p, N=N, A=zeros(np.zeros((n, n)), N),
+                       B=zeros(np.zeros((n, 1)), N), C=zeros(np.zeros((p, n)), N))
+    noise = NoiseModel.constant(np.eye(n), np.eye(p), np.zeros(n), np.eye(n), horizon=N)
+    scenario = Scenario(system=system, noise=noise, x0=np.zeros(n),
+                        sim_Qd=psd_schedule(rng, n, N, singular),
+                        sim_Rv=psd_schedule(rng, p, N, singular))
+    runs = monte_carlo(scenario, seeds)
+    for row, seed in enumerate(seeds):
+        stream = GaussianStream(seed)
+        for k in range(N):
+            d = psd_factor(scenario.sim_Qd[k]) @ stream.standard_normal(n)
+            v = psd_factor(scenario.sim_Rv[k]) @ stream.standard_normal(p)
+            np.testing.assert_array_equal(runs.states[row, k + 1], d)
+            np.testing.assert_array_equal(runs.outputs[row, k], v)
+        if len(seeds) == 1:
+            assert same(run(replace(scenario, seed=seed)).trajectory.states, runs.states[0])
+
+
+def held_bytes(obj, bases=None) -> int:
+    """Bytes of the distinct arrays (by their memory's owner) that a result holds."""
+    bases = {} if bases is None else bases
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        bases[id(obj)] = obj.nbytes
+    elif isinstance(obj, MatrixSchedule):
+        held_bytes(obj.distinct(), bases)
+    elif isinstance(obj, BeliefSequence):
+        held_bytes(obj.means, bases)
+        held_bytes(obj.covs, bases)
+    elif is_dataclass(obj):
+        for field in fields(obj):
+            held_bytes(getattr(obj, field.name), bases)
+    return sum(bases.values())
+
+
+def test_a_time_varying_run_peaks_at_its_result():
+    # A run's traced peak, less the arrays its result holds, stays below one
+    # (N, n, n) stack: it makes no horizon-sized factor of the truth's Qd and
+    # no (N, m, n) gain drift stack beside the plan it returns.
+    n, m, p, N = 32, 8, 8, 60
+    rng = np.random.default_rng(24)
+    system = LtvSystem(n=n, m=m, p=p, N=N,
+                       A=MatrixSchedule(rng.standard_normal((N, n, n)) / np.sqrt(n)),
+                       B=MatrixSchedule(rng.standard_normal((N, n, m)) / np.sqrt(n)),
+                       C=MatrixSchedule(rng.standard_normal((N, p, n)) / np.sqrt(n)))
+    noise = NoiseModel(Qd=psd_schedule(rng, n, N, None), Rv=psd_schedule(rng, p, N, None),
+                       x0_mean=np.zeros(n), P0=np.eye(n))
+    weights = LqrWeights(Q=psd_schedule(rng, n, N + 1, None), R=psd_schedule(rng, m, N, None))
+    s = Scenario(system=system, weights=weights, noise=noise, controller="lqr",
+                 estimator="smoother", x0=None, seed=5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held_bytes(result) < N * n * n * np.dtype(float).itemsize
 
 
 NOISE_FREE_RUN = """

@@ -466,7 +466,7 @@ def scanned_settling(K, xs, epsilon):
 def test_settling_indices_equal_scan(N, n, m, seed, epsilon):
     # states that decay with random bumps and gains that drift from random
     # points on, several trajectories of one schedule reported at once
-    from lqgkit.lqr import _settling_reports
+    from lqgkit.lqr import _gain_drift, _settling_reports
 
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((4, N + 1, n)) * rng.choice([0.01, 0.1, 1.0], (4, N + 1, 1))
@@ -477,7 +477,7 @@ def test_settling_indices_equal_scan(N, n, m, seed, epsilon):
         K[rng.integers(0, N), 0, 0] = np.nan
     solution = RiccatiSolution(P=MatrixSchedule.constant(np.eye(n), N + 1),
                                K=MatrixSchedule.of(list(K)))
-    reports = _settling_reports(solution, xs, epsilon)
+    reports = _settling_reports(_gain_drift(solution.K), xs, epsilon)
     for x, stacked in zip(xs, reports):
         eps = 1e-2 * float(np.linalg.norm(x[0])) if epsilon is None else epsilon
         report = settling_report(solution, Trajectory(states=x, inputs=np.zeros((N, m))),
