@@ -18,13 +18,7 @@ DEFINITENESS_TOL = 1e-9
 # solve near LAPACK's cost (best per call, numpy 2.4, one BLAS thread, a 2-vCPU
 # Xeon VM): 6 µs at order 1 against 23 µs through `np.linalg`; 22 µs at order
 # 16 with 64 right-hand sides against 20 µs for dpotrf/dpotrs; at order 64,
-# 116 µs alone and 142 µs per stacked entry against 84 µs.  Above this order
-# a stack of S also goes entry by entry into one preallocated output: one
-# stacked call holds every entry's symmetric part and factor at once, and
-# traced by tracemalloc the smoother's (100, 64, 64) gain solve peaked at
-# 6.31 MiB of numpy data for its 3.12 MiB answer (3.25 MiB entry by entry).  At
-# and below it one stacked call stays, as fig4's (50, 2, 2) smoother solve
-# needs: there a Python loop's per-entry cost outweighs the scratch it saves.
+# 116 µs against 84 µs.
 _TRIANGULAR_MAX_ORDER = 8
 
 
@@ -143,21 +137,16 @@ def _invalid(err: str, flag: int):
     raise _Invalid
 
 
-def solve_spd(S: np.ndarray, B: np.ndarray, context, out: np.ndarray | None = None
-              ) -> np.ndarray:
+def solve_spd(S: np.ndarray, B: np.ndarray, context: str) -> np.ndarray:
     """Solve S X = B for symmetric positive definite S, certified by Cholesky.
 
-    S is one float matrix or an (..., n, n) stack, B an (..., n, r) stack
-    or one vector, broadcast against S as `np.linalg.solve` broadcasts
-    them.  Every entry of a stack is solved as it would be on its own, bit
-    for bit.  numpy factors S = L L^T, certifying S, and solves with L and
-    L^T up to _TRIANGULAR_MAX_ORDER, in one stacked call; above it with one
-    LU solve of S, a stack entry by entry into one preallocated output, so
-    the only scratch is one entry's (see _TRIANGULAR_MAX_ORDER).  Raises
-    LinAlgError naming `context` when S is not numerically PD, a violated
-    definiteness precondition upstream.  `context` is a string, or for a
-    stack a function of the flat index in S of the first entry that is not
-    PD which returns one.  `out`, for one S, receives the solution.
+    S is one float matrix, B a matrix or a vector.  numpy factors S = L L^T,
+    certifying S, and solves with L and L^T up to _TRIANGULAR_MAX_ORDER,
+    above it with one LU solve of S.  Raises LinAlgError naming `context`
+    when S is not numerically PD, a violated definiteness precondition
+    upstream.  A stack of S or B goes through the same gufuncs in one call,
+    broadcast as `np.linalg.solve` broadcasts them, each entry bit for bit
+    as on its own; a failing entry is named by `context` alone.
 
     The solve calls the gufuncs behind `np.linalg.cholesky` and
     `np.linalg.solve` (`solve1` for a 1-D right-hand side, as `solve` picks)
@@ -167,52 +156,22 @@ def solve_spd(S: np.ndarray, B: np.ndarray, context, out: np.ndarray | None = No
     errstate, as it does before `np.linalg`'s calls.  So every result,
     error and warning is the one those `np.linalg` calls give.
     """
-    name = (lambda i: context) if isinstance(context, str) else context
-    triangular = S.shape[-1] <= _TRIANGULAR_MAX_ORDER
-    if not triangular and S.ndim > 2:
-        return _lu_entry_by_entry(S, B, name)
     sym = symmetrize(S)
     solve = _umath_linalg.solve1 if B.ndim == 1 else _umath_linalg.solve
     with np.errstate(all="ignore", invalid="call", call=_invalid):
         try:
             L = _umath_linalg.cholesky_lo(sym)
         except _Invalid:
-            raise np.linalg.LinAlgError(f"{name(_first_not_pd(sym))}: matrix is not positive "
-                                        "definite (Matrix is not positive definite)") from None
+            raise np.linalg.LinAlgError(f"{context}: matrix is not positive definite "
+                                        "(Matrix is not positive definite)") from None
         try:
-            if not triangular:
-                return solve(sym, B, out=out)       # L only certified S
+            if S.shape[-1] > _TRIANGULAR_MAX_ORDER:
+                return solve(sym, B)        # L only certified S
             Y = solve(L, B)
             return (_umath_linalg.solve1 if Y.ndim == 1 else _umath_linalg.solve)(
-                L.swapaxes(-1, -2), Y, out=out)
+                L.swapaxes(-1, -2), Y)
         except _Invalid:
             raise np.linalg.LinAlgError("Singular matrix") from None
-
-
-def _lu_entry_by_entry(S: np.ndarray, B: np.ndarray, name) -> np.ndarray:
-    """`solve_spd` of each entry of a stack S, written into one output of
-    `np.linalg.solve(S, B)`'s shape.  A failing entry is named by its flat
-    index in S, not in the broadcast batch; the loop meets S's entries in
-    flat order, so the first to fail is S's first that is not PD."""
-    core = B.shape[-1:] if B.ndim == 1 else B.shape[-2:]
-    batch = np.broadcast_shapes(S.shape[:-2], B.shape[:B.ndim - len(core)])
-    own = np.broadcast_to(np.arange(S[..., 0, 0].size).reshape(S.shape[:-2]), batch)
-    S, B = np.broadcast_to(S, batch + S.shape[-2:]), np.broadcast_to(B, batch + core)
-    X = np.empty(batch + core)
-    for i in np.ndindex(batch):
-        solve_spd(S[i], B[i], lambda _: name(int(own[i])), X[i])
-    return X
-
-
-def _first_not_pd(S: np.ndarray) -> int:
-    """Flat index of the first entry of S that numpy's Cholesky rejects;
-    called under `solve_spd`'s error policy."""
-    for i, entry in enumerate(S.reshape(-1, *S.shape[-2:])):
-        try:
-            _umath_linalg.cholesky_lo(entry)
-        except _Invalid:
-            return i
-    raise AssertionError("a stacked Cholesky failed on no single entry")
 
 
 def spectral_radius(M: np.ndarray) -> float:

@@ -156,13 +156,15 @@ def _smoother_covariances(A, updated, predicted) -> tuple[np.ndarray, np.ndarray
     """RTS gains Ls_k (k = 0..N-1) and P_{k|N} (k = 0..N) from P_{k|k}, P_{k+1|k}.
 
     A, updated and predicted are stacks, (N, n, n), (N+1, n, n) and
-    (N, n, n).  The gains do not depend on each other, so one stacked
-    solve makes all N of them; only P_{k|N} runs backward.
+    (N, n, n).  The gains do not depend on each other; they are solved
+    forward, one entry at a time into one output, so a singular
+    P_{k+1|k} is named at the first k it occurs.  Only P_{k|N} runs backward.
     """
     N = len(predicted)
-    gains = np.ascontiguousarray(solve_spd(
-        predicted, A @ updated[:N],
-        lambda k: f"smoother predicted covariance at k={k + 1}").swapaxes(-1, -2))
+    gains = np.empty(predicted.shape)
+    for k in range(N):
+        gains[k] = solve_spd(predicted[k], A[k] @ updated[k],
+                             f"smoother predicted covariance at k={k + 1}").T
     covs = np.empty(updated.shape)
     covs[N] = updated[N]
     for k in range(N - 1, -1, -1):
@@ -237,12 +239,6 @@ def filter_update(C_k, Rv_k, belief: Belief, y_k) -> tuple[Belief, np.ndarray]:
     return Belief(mean=mean, cov=cov, tag=(k, k)), L
 
 
-def _repeats(schedule: np.ndarray, k: int) -> bool:
-    """True when entry k equals entry k-1 byte for byte (so -0.0 differs
-    from 0.0, and a NaN matches only the same NaN)."""
-    return schedule[k].tobytes() == schedule[k - 1].tobytes()
-
-
 class _EstimatorPlan:
     """Seed-independent half of an estimator: its gain and covariance schedules.
 
@@ -259,15 +255,6 @@ class _EstimatorPlan:
     the observer), `updated` P_{k|k}, `smoother_gains` Ls_k and `smoothed`
     P_{k|N}.  `reported` is the covariance schedule aligned with states
     0..N, None for the observer.
-
-    Exact fixed point: when A, C, Qd and Rv are all constant schedules and
-    a forward step returns its own input byte for byte (P_{k+1|k} equal to
-    P_{k|k-1} on the predictor, P_{k+1|k+1} to P_{k|k} on the filter), the
-    rest of the forward schedules are copies of that step's entries.  This
-    changes no bit: every later step would get the same inputs, so it would
-    return the same outputs.  An LTI recursion that converges to its DARE
-    solution often lands on such a point in floating point (fig4's filter
-    from k = 30 of N = 50).
     """
 
     def __init__(self, kind: str, system: LtvSystem, noise: NoiseModel,
@@ -278,7 +265,6 @@ class _EstimatorPlan:
         n, p, N = system.n, system.p, system.N
         self.A, self.B, self.C = system.A.stack, system.B.stack, system.C.stack
         Qd, Rv = noise.Qd.stack, noise.Rv.stack
-        stationary = all(sched.is_constant for sched in (system.A, system.C, noise.Qd, noise.Rv))
         self.predicted = self.updated = self.smoother_gains = self.smoothed = None
         if kind == "luenberger":
             self.gains = np.broadcast_to(luenberger_gain, (N, *luenberger_gain.shape))
@@ -288,10 +274,6 @@ class _EstimatorPlan:
             for k in range(N):
                 self.gains[k], self.predicted[k + 1] = _predictor_gain(
                     self.A[k], self.C[k], Qd[k], Rv[k], self.predicted[k])
-                if stationary and _repeats(self.predicted, k + 1):
-                    self.gains[k + 1:] = self.gains[k]
-                    self.predicted[k + 2:] = self.predicted[k + 1]
-                    break
         else:
             self.gains, self.predicted = np.empty((N, n, p)), np.empty((N, n, n))
             self.updated = np.empty((N + 1, n, n))
@@ -300,11 +282,6 @@ class _EstimatorPlan:
                 self.predicted[k] = _time_update(self.A[k], Qd[k], self.updated[k])
                 self.gains[k], self.updated[k + 1] = _filter_gain(
                     self.C[k], Rv[k], self.predicted[k])
-                if stationary and _repeats(self.updated, k + 1):
-                    self.predicted[k + 1:] = self.predicted[k]
-                    self.gains[k + 1:] = self.gains[k]
-                    self.updated[k + 2:] = self.updated[k + 1]
-                    break
             if kind == "smoother":
                 self.smoother_gains, self.smoothed = _smoother_covariances(
                     self.A, self.updated, self.predicted)

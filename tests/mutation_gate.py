@@ -67,6 +67,18 @@ MUTANTS = (
     Mutant("k_K-off-by-one", "lqr.py",
            "np.maximum(leading - 1, 0)", "np.maximum(leading, 0)",
            ("tests/test_lqr.py",)),
+    Mutant("smoother-names-k-not-k+1", "estimation.py",
+           "k={k + 1}", "k={k}",
+           ("tests/test_estimation.py",)),
+    Mutant("smoother-cov-without-predicted", "estimation.py",
+           "(covs[k + 1] - predicted[k])", "covs[k + 1]",
+           ("tests/test_estimation.py",)),
+    Mutant("time-update-without-Qd", "estimation.py",
+           "symmetrize(A @ P @ A.T + Qd)", "symmetrize(A @ P @ A.T)",
+           ("tests/test_estimation.py",)),
+    Mutant("filter-update-without-joseph-term", "estimation.py",
+           "ILC @ P @ ILC.T + L @ Rv @ L.T", "ILC @ P @ ILC.T",
+           ("tests/test_estimation.py",)),
     Mutant("steady-estimator-from-zero", "estimation.py",
            'np.eye(A.shape[0]), tol, max_iter, "estimator"',
            'np.zeros_like(A), tol, max_iter, "estimator"',

@@ -13,7 +13,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from numpy.linalg import _umath_linalg
 
 from lqgkit import ConvergenceError, solve_dare_lqr
 from lqgkit._linalg import _TRIANGULAR_MAX_ORDER, solve_spd, symmetrize
+from lqgkit.estimation import _smoother_covariances
 
 ROOT = Path(__file__).resolve().parents[1]
 ORDERS = range(1, 17)
@@ -89,37 +89,20 @@ def test_stack_equals_entry_by_entry(n, batch):
         assert X[i].tobytes() == solve_spd(S[i], B[i] if batch else B, "test").tobytes()
 
 
-def test_large_stack_allocates_little_beyond_its_answer():
-    # numpy reports its buffers to tracemalloc.  Solved as one stacked call,
-    # the smoother's (100, 64, 64) gain solve held the stack's symmetric
-    # part and factors beside the answer, peaking at twice its size
-    W = np.random.default_rng(7).standard_normal((2, 100, 64, 64))
-    S, B = W[0] @ W[0].swapaxes(-1, -2) + 64 * np.eye(64), W[1]
-    tracemalloc.start()
-    try:
-        X = solve_spd(S, B, "test")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * X.nbytes
-
-
 @pytest.mark.parametrize("n", [2, 9, 16, 32, 64])
 def test_stack_names_its_first_failing_entry(n):
+    # the smoother's gain pass solves its stack of P_{k+1|k} forward, one
+    # entry at a time, so of entries 2 and 3 that are not PD it names 2's
     S = np.array([spd(n, seed) for seed in range(4)])
     S[2, -1, -1] = S[3, -1, -1] = -1.0
-    B = np.ones((4, n, 1))
-    with pytest.raises(np.linalg.LinAlgError,
-                       match=r"^gain solve at k=2: matrix is not positive definite \("):
-        solve_spd(S, B, lambda i: f"gain solve at k={i}")
-    # broadcast against a right-hand side, the entry keeps S's own index: in
-    # the (2, 3) batch of a (2, 1) stack, S's entry 1 is first met at 3
-    with pytest.raises(np.linalg.LinAlgError,
-                       match=r"^gain solve at k=1: matrix is not positive definite \("):
-        solve_spd(S[1:3, None], np.ones((1, 3, n, 1)), lambda i: f"gain solve at k={i}")
+    updated = np.array([spd(n, seed) for seed in range(4, 9)])
+    with pytest.raises(np.linalg.LinAlgError, match=r"^smoother predicted covariance at k=3: "
+                       r"matrix is not positive definite \("):
+        _smoother_covariances(np.broadcast_to(np.eye(n), S.shape), updated, S)
+    # one stacked solve names its failure by the context alone
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"^gain solve: matrix is not positive definite \("):
-        solve_spd(S, B, "gain solve")
+        solve_spd(S, np.ones((4, n, 1)), "gain solve")
 
 
 def np_linalg_solve(S, B):
@@ -174,13 +157,12 @@ def test_numpy_path_makes_no_np_linalg_call(monkeypatch):
     for name in ("cholesky", "solve"):
         monkeypatch.setattr(np.linalg, name, refuse)
     for n in (*ORDERS, *LARGE_ORDERS):
-        for stack in ((), (3,)):
-            S = np.broadcast_to(spd(n, 5), stack + (n, n))
-            solve_spd(S, np.ones((n, 2)), "test")
-            # a failure raises its own diagnostic, with no np.linalg call to rerun
-            with pytest.raises(np.linalg.LinAlgError, match=r"^test: matrix is not positive "
-                               r"definite \(Matrix is not positive definite\)$"):
-                solve_spd(-S, np.ones((n, 2)), "test")
+        S = spd(n, 5)
+        solve_spd(S, np.ones((n, 2)), "test")
+        # a failure raises its own diagnostic, with no np.linalg call to rerun
+        with pytest.raises(np.linalg.LinAlgError, match=r"^test: matrix is not positive "
+                           r"definite \(Matrix is not positive definite\)$"):
+            solve_spd(-S, np.ones((n, 2)), "test")
 
 
 @pytest.mark.parametrize("n", [2, 16])
@@ -276,7 +258,7 @@ codes = [main(["reproduce", "fig1", "--output", out]),
          main(["sweep", scn, "--axis", "seed", "--values", seeds, "--output", out])]
 from lqgkit._linalg import solve_spd
 solve_spd(16.0 * np.eye(16), np.ones(16), "order 16")
-solve_spd(np.broadcast_to(64.0 * np.eye(64), (3, 64, 64)), np.ones((3, 64, 2)), "order 64")
+solve_spd(64.0 * np.eye(64), np.ones((64, 2)), "order 64")
 print(json.dumps({"codes": codes,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
@@ -284,7 +266,7 @@ print(json.dumps({"codes": codes,
 
 def test_small_problems_never_import_scipy(tmp_path):
     # every SPD solve is numpy's, so no process imports scipy: not the CLI
-    # on the bundled problems, nor an order-16 or a stacked order-64 solve
+    # on the bundled problems, nor an order-16 or an order-64 solve
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     scn = ROOT / "src" / "lqgkit" / "scenarios" / "fig4.scn"
     proc = subprocess.run([sys.executable, "-c", COLD_RUN, str(tmp_path), str(scn)],
