@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 # Definiteness decisions bound the least eigenvalue of the symmetric part at
 # this tolerance: > DEFINITENESS_TOL for positive definite, >= -DEFINITENESS_TOL
@@ -14,11 +13,7 @@ DEFINITENESS_TOL = 1e-9
 # Up to this order `solve_spd` solves with the two triangles of numpy's
 # Cholesky factor, keeping the bits fig1 and fig4 are pinned with; above it,
 # with one LU solve of the S the factor certified, cheaper there than two
-# triangular solves.  Calling the gufuncs behind `np.linalg` directly keeps a
-# solve near LAPACK's cost (best per call, numpy 2.4, one BLAS thread, a 2-vCPU
-# Xeon VM): 6 µs at order 1 against 23 µs through `np.linalg`; 22 µs at order
-# 16 with 64 right-hand sides against 20 µs for dpotrf/dpotrs; at order 64,
-# 116 µs against 84 µs.
+# triangular solves.
 _TRIANGULAR_MAX_ORDER = 8
 
 
@@ -129,49 +124,25 @@ def _certified(S: np.ndarray, size: np.ndarray, bound: float) -> bool:
     return bool(np.all(np.isfinite(factor)))
 
 
-class _Invalid(Exception):
-    """The "invalid" flag of a gufunc behind `np.linalg`: its LAPACK call failed."""
-
-
-def _invalid(err: str, flag: int):
-    raise _Invalid
-
-
 def solve_spd(S: np.ndarray, B: np.ndarray, context: str) -> np.ndarray:
     """Solve S X = B for symmetric positive definite S, certified by Cholesky.
 
-    S is one float matrix, B a matrix or a vector.  numpy factors S = L L^T,
-    certifying S, and solves with L and L^T up to _TRIANGULAR_MAX_ORDER,
-    above it with one LU solve of S.  Raises LinAlgError naming `context`
+    S is a float matrix, B a matrix or a vector.  `np.linalg.cholesky`
+    factors the symmetric part of S as L L^T, certifying S, and
+    `np.linalg.solve` solves with L and L^T up to _TRIANGULAR_MAX_ORDER,
+    above it with one LU solve of S; every result, error and warning is
+    theirs, for a stack of S or B too.  Raises LinAlgError naming `context`
     when S is not numerically PD, a violated definiteness precondition
-    upstream.  A stack of S or B goes through the same gufuncs in one call,
-    broadcast as `np.linalg.solve` broadcasts them, each entry bit for bit
-    as on its own; a failing entry is named by `context` alone.
-
-    The solve calls the gufuncs behind `np.linalg.cholesky` and
-    `np.linalg.solve` (`solve1` for a 1-D right-hand side, as `solve` picks)
-    under the error policy `np.linalg` calls them with: a gufunc flags
-    "invalid" exactly when its LAPACK call fails, and that flag raises
-    `np.linalg`'s error, while the symmetrization runs under the caller's
-    errstate, as it does before `np.linalg`'s calls.  So every result,
-    error and warning is the one those `np.linalg` calls give.
+    upstream.
     """
     sym = symmetrize(S)
-    solve = _umath_linalg.solve1 if B.ndim == 1 else _umath_linalg.solve
-    with np.errstate(all="ignore", invalid="call", call=_invalid):
-        try:
-            L = _umath_linalg.cholesky_lo(sym)
-        except _Invalid:
-            raise np.linalg.LinAlgError(f"{context}: matrix is not positive definite "
-                                        "(Matrix is not positive definite)") from None
-        try:
-            if S.shape[-1] > _TRIANGULAR_MAX_ORDER:
-                return solve(sym, B)        # L only certified S
-            Y = solve(L, B)
-            return (_umath_linalg.solve1 if Y.ndim == 1 else _umath_linalg.solve)(
-                L.swapaxes(-1, -2), Y)
-        except _Invalid:
-            raise np.linalg.LinAlgError("Singular matrix") from None
+    try:
+        L = np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"{context}: matrix is not positive definite ({exc})") from None
+    if S.shape[-1] > _TRIANGULAR_MAX_ORDER:
+        return np.linalg.solve(sym, B)      # L only certified S
+    return np.linalg.solve(L.swapaxes(-1, -2), np.linalg.solve(L, B))
 
 
 def spectral_radius(M: np.ndarray) -> float:

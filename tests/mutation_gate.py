@@ -41,6 +41,12 @@ class Mutant:
 
 
 MUTANTS = (
+    Mutant("lu-from-order-8", "_linalg.py",
+           "if S.shape[-1] > _TRIANGULAR_MAX_ORDER:", "if S.shape[-1] >= _TRIANGULAR_MAX_ORDER:",
+           ("tests/test_linalg.py",)),
+    Mutant("definiteness-tol-1e-6", "_linalg.py",
+           "DEFINITENESS_TOL = 1e-9", "DEFINITENESS_TOL = 1e-6",
+           ("tests/test_definiteness.py",)),
     Mutant("spectral-radius-min", "_linalg.py",
            "float(np.max(np.abs(np.linalg.eigvals(M))))",
            "float(np.min(np.abs(np.linalg.eigvals(M))))",
@@ -64,11 +70,29 @@ MUTANTS = (
     Mutant("noise-blocks-reuse-first-factors", "harness.py",
            "psd_factor(entries[k:k + block])", "psd_factor(entries[:block])",
            ("tests/test_harness.py",)),
+    Mutant("feedback-always-truth", "harness.py",
+           'fed = -1 if s.feedback == "estimate" else 0', "fed = 0",
+           ("tests/test_expected_cost.py", "tests/test_monte_carlo.py")),
     Mutant("k_K-off-by-one", "lqr.py",
            "np.maximum(leading - 1, 0)", "np.maximum(leading, 0)",
            ("tests/test_lqr.py",)),
+    Mutant("dre-without-KtRK", "lqr.py",
+           "P = Q_k + K.T @ R_k @ K + A_cl.T @ P_next @ A_cl", "P = Q_k + A_cl.T @ P_next @ A_cl",
+           ("tests/test_lqr.py",)),
+    Mutant("cost-without-inputs", "lqr.py",
+           "state[:, :N] + _quadratic_forms(us, weights.R.stack)", "state[:, :N]",
+           ("tests/test_lqr.py",)),
+    Mutant("steady-stop-at-100-tol", "lqr.py",
+           "if residual <= tol:", "if residual <= tol * 1e2:",
+           ("tests/test_lqr.py",)),
+    Mutant("hautus-margin-1e-3", "lqr.py",
+           "abs(lam) < 1.0 - np.sqrt(np.finfo(float).eps)", "abs(lam) < 1.0 - 1e-3",
+           ("tests/test_harness.py",)),
     Mutant("smoother-names-k-not-k+1", "estimation.py",
            "k={k + 1}", "k={k}",
+           ("tests/test_estimation.py",)),
+    Mutant("smoother-mean-without-predicted", "estimation.py",
+           "means[..., k + 1, :] - predicted[..., k, :]", "means[..., k + 1, :]",
            ("tests/test_estimation.py",)),
     Mutant("smoother-cov-without-predicted", "estimation.py",
            "(covs[k + 1] - predicted[k])", "covs[k + 1]",

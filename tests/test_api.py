@@ -1,5 +1,8 @@
 """The public API: the names `lqgkit` exports, listed here so that adding or
 removing one is a visible change to this file."""
+import ast
+from pathlib import Path
+
 import lqgkit
 
 PUBLIC = {
@@ -31,3 +34,21 @@ def test_public_names():
     assert sorted(lqgkit.__all__) == sorted(PUBLIC)     # and no name listed twice
     for name in lqgkit.__all__:
         assert getattr(lqgkit, name).__module__.startswith("lqgkit.")
+
+
+def test_runtime_imports_no_private_numpy_module():
+    # a private numpy module may change or go in any numpy release, the
+    # oldest that pyproject.toml allows included
+    private = []
+    for path in sorted(Path(lqgkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            private += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] == "numpy"
+                        and any(part.startswith("_") for part in name.split("."))]
+    assert private == []

@@ -307,6 +307,14 @@ class TestRunValidation:
         assert _config_violations(scenario) == []
         assert run(scenario).cost is not None
 
+    def test_slow_stable_unreachable_mode_accepted(self):
+        # |0.9995| < 1 by far more than the Hautus margin sqrt(eps), so the
+        # unreachable mode needs no input; not run, as its steady loop is slow
+        scenario = Scenario(system=LtvSystem.lti(np.diag([0.9995, 2.0]), [[0.0], [1.0]],
+                                                 horizon=5),
+                            weights=bench_weights(5), controller="steady", x0=X0_BENCH)
+        assert _config_violations(scenario) == []
+
     def test_steady_requires_lti(self):
         N = 4
         system = bench_system(N)
