@@ -152,26 +152,18 @@ def spectral_radius(M: np.ndarray) -> float:
 
 
 def psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Factor S with S S^T = cov for symmetric PSD cov, or for each entry of
-    an (E, n, n) stack.
+    """Factor S with S S^T = cov for a symmetric PSD matrix cov.
 
     Cholesky when cov is numerically PD; falls back to an eigendecomposition
     square root for semidefinite inputs (singular disturbance covariances are
-    legitimate).  Raises LinAlgError on indefinite input.  One stacked
-    Cholesky factors a stack of definite entries, each as it would be on its
-    own; only a semidefinite entry makes a stack go entry by entry.  So a
-    stack may be factored in blocks of entries with the same bits, as a run
-    factors its truth's noise schedules: a block at a time, no larger than
-    the noise it scales (see `harness._scaled`).
+    legitimate).  Raises LinAlgError on indefinite input.
     """
     if cov.shape[-1] == 0:
         return np.zeros(cov.shape)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        if cov.ndim == 3:
-            return np.array([psd_factor(M) for M in cov])
-    w, V = np.linalg.eigh(symmetrize(cov))
+        w, V = np.linalg.eigh(symmetrize(cov))
     if w.min() < -DEFINITENESS_TOL * max(1.0, abs(w.max())):
         raise np.linalg.LinAlgError(
             f"covariance is indefinite (min eigenvalue {w.min():.3e}); cannot factor"

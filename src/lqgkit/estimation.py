@@ -17,7 +17,7 @@ import numpy as np
 from ._linalg import _freeze, intake, matvec, solve_spd, spectral_radius, symmetrize
 from .lqr import _steady_riccati
 from .model import (LtvSystem, NoiseModel, ValidationError, _field_violations, _noise_rows,
-                    _planned, _require_finite)
+                    _planned, _require, _system_rows)
 
 
 @dataclass(frozen=True)
@@ -388,10 +388,10 @@ def _estimate(kind: str, system: LtvSystem, noise: NoiseModel, inputs, measureme
     measurements (N, p); ValueError naming the argument on a nan or inf or
     any other shape, or naming C on a system without one.  The plan is built
     once per kind and (system, noise) pair of live objects and kept while
-    both live (see `model._planned`), once A, B and C are finite (else
-    ValueError naming the entry) and the noise model's shapes, lengths,
-    finiteness and definiteness pass (else ValidationError naming each
-    field): Qd, Rv and P0 must be symmetric positive semidefinite."""
+    both live (see `model._planned`), once A, B and C fit and are finite
+    (else ValueError naming the first that is not) and the noise model's
+    shapes, lengths, finiteness and definiteness pass (else ValidationError
+    naming each field): Qd, Rv and P0 must be symmetric PSD."""
     if system.C is None:
         raise ValueError("system must have a measurement matrix C, got None")
     inputs, measurements = intake({"inputs": inputs, "measurements": measurements},
@@ -402,7 +402,7 @@ def _estimate(kind: str, system: LtvSystem, noise: NoiseModel, inputs, measureme
             raise ValueError(f"{name} must have shape (N, {width}) = {shape}, got {value.shape}")
 
     def build() -> _EstimatorPlan:
-        _require_finite({"A": system.A, "B": system.B, "C": system.C})
+        _require(_system_rows(system))
         # Rv only semidefinite: the solve decides a near-singular S itself
         report = [line for value, name, shape, length, definite in _noise_rows(system, noise)
                   for line in _field_violations(value, name, shape, length,
@@ -451,15 +451,17 @@ def smoother_run(system: LtvSystem, noise: NoiseModel, filtered: EstimatorRun) -
 
     The gain solves the symmetric system P_{k+1|k} X = A_k P_{k|k} (X = Ls^T);
     a singular predicted covariance (possible only with a degenerate Qd) is
-    an error, and ValueError names A's entry or the filter run's array that
-    holds a nan or inf.  `noise` is not read: the filter run holds every
-    covariance the pass needs, and the parameter stays for compatibility.
+    an error, and ValueError names a filter run of another horizon, or the
+    schedule or filter run array that does not fit or holds a nan or inf.
+    `noise` is not read: the filter run holds every covariance the pass
+    needs, and the parameter stays for compatibility.
     """
     predicted, updated = filtered.predicted, filtered.updated
-    if len(updated) != len(predicted) + 1:
+    if len(updated) != system.N + 1 or len(predicted) != system.N:
         raise ValueError("filter run must store beliefs (k|k) for k=0..N and (k|k-1) for k=1..N")
-    _require_finite({"A": system.A, "updated.means": updated.means, "updated.covs": updated.covs,
-                     "predicted.means": predicted.means, "predicted.covs": predicted.covs})
+    _require(_system_rows(system) + [
+        (updated.means, "updated.means"), (updated.covs, "updated.covs"),
+        (predicted.means, "predicted.means"), (predicted.covs, "predicted.covs")])
     gains, covs = _smoother_covariances(system.A.stack, updated.covs, predicted.covs)
     means = _smoother_means(gains, updated.means, predicted.means)
     return EstimatorRun(predicted, updated, BeliefSequence(means, covs, 0, None), gains,

@@ -42,7 +42,8 @@ from .model import (
     ValidationError,
     _field_violations,
     _planned,
-    _require_finite,
+    _require,
+    _system_rows,
     validate,
 )
 from .stochastic import GaussianStream, _predraw
@@ -190,8 +191,7 @@ def _steady_violations(system: LtvSystem, weights: LqrWeights | None) -> list[st
     schedules = [system.A, system.B] + ([weights.Q, weights.R] if weights is not None else [])
     if not all(sched.is_constant for sched in schedules):
         return ["controller 'steady' requires constant A, B, Q, R"]
-    n, m = system.n, system.m
-    if _field_violations(system.A, "A", (n, n)) or _field_violations(system.B, "B", (n, m)):
+    if any(_field_violations(*row[:3]) for row in _system_rows(system)[:2]):
         return []
     return _stabilizability_report(system.A[0], system.B[0])
 
@@ -221,8 +221,8 @@ class _Plan:
     the seeds' pass.  Under an `lqr` controller `drift` holds each step's
     max|K_k - K_0| (N,), read once here for every seed's settling report
     (see `lqr._gain_drift`).  The factors of the truth's noise covariances
-    are not kept here: `_simulate` makes them a block at a time where it
-    draws the noise, so they live no longer than that block's draw.  The
+    are not kept here: `_simulate` makes them one step at a time where it
+    draws the noise, so each lives no longer than its step's draw.  The
     plan does not hold its scenario, so the memo's weak reference to the
     scenario is the only link between them (see `model._planned`).
     """
@@ -260,20 +260,15 @@ def _scaled(cov: MatrixSchedule, z: np.ndarray) -> np.ndarray:
     """F_k z[s, k] for every seed s and step k of the normals z (S, N, r),
     where F_k F_k^T = cov_k: the truth's noise, d or v.
 
-    `psd_factor` factors cov's distinct entries a block at a time, each
-    block at most max(1, S N // r) entries, so a block's factors are never
-    larger than the (S, N, r) noise they scale; a constant cov is one
-    entry and one call.  Each entry is factored, and each row scaled, as on
-    its own, so the block size changes no bit.
+    `psd_factor` factors each distinct entry of cov on its own, so a
+    constant cov is one call and no factor outlives its step's draw.
     """
     entries = cov.distinct()
     if len(entries) == 1:
-        return matvec(psd_factor(entries), z)
-    S, N, r = z.shape
-    block = max(1, S * N // max(r, 1))
+        return matvec(psd_factor(entries[0]), z)
     scaled = np.empty(z.shape)
-    for k in range(0, N, block):
-        scaled[:, k:k + block] = matvec(psd_factor(entries[k:k + block]), z[:, k:k + block])
+    for k, entry in enumerate(entries):
+        scaled[:, k] = matvec(psd_factor(entry), z[:, k])
     return scaled
 
 
@@ -284,9 +279,8 @@ def _simulate(s: Scenario, plan: _Plan, seeds: list[int]
 
     The noise is the seeds' normals times factors of P0 (for a sampled x0
     without x0_std) and of the truth's Qd and Rv (sim_Qd, sim_Rv if set).
-    P0 is one `psd_factor` call; Qd and Rv are factored a block of distinct
-    entries at a time, no larger than the noise they scale (see `_scaled`).
-    So the pass holds no factor, and no factor stack outgrows d or v.
+    P0 is one `psd_factor` call; Qd and Rv are factored one distinct entry
+    at a time (see `_scaled`), so the pass holds no factor.
     Returns the stacked runs with the pass that made them.  A run with a
     given x0 and no noise model draws nothing.
     """
@@ -366,19 +360,17 @@ def simulate_closed_loop(system: LtvSystem, gains, x0: np.ndarray) -> Trajectory
     of one seed with no noise model.
 
     `gains` is a gain schedule, a single fixed gain matrix, or a
-    RiccatiSolution (whose K schedule is used).  ValueError names the
-    argument, or the schedule entry, that holds a nan or inf.
+    RiccatiSolution (whose K schedule is used).  ValueError names the first
+    argument or schedule that does not fit the system or holds a nan or inf.
     """
     if isinstance(gains, RiccatiSolution):
         gains = gains.K
     if not isinstance(gains, MatrixSchedule):
         gains = MatrixSchedule.constant(gains, system.N)
-    if len(gains) != system.N:
-        raise ValueError(f"gain schedule length {len(gains)} does not match horizon {system.N}")
-    if gains.shape != (system.m, system.n):
-        raise ValueError(f"gain shape {gains.shape}, expected ({system.m}, {system.n})")
-    _require_finite({"A": system.A, "B": system.B, "gains": gains})
-    scenario = Scenario(system, x0=intake({"x0": x0}, vectors=("x0",))[0])
+    x0 = intake({"x0": x0}, vectors=("x0",))[0]
+    _require(_system_rows(system) + [(gains, "gains", (system.m, system.n), system.N),
+                                     (x0, "x0", (system.n,))])
+    scenario = Scenario(system, x0=x0)
     runs = _simulate(scenario, _Plan(gains, None, None, None), [0])[0]
     return Trajectory(states=runs.states[0], inputs=runs.inputs[0])
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import ConvergenceError, intake, solve_spd, spectral_radius, symmetrize
-from .model import LqrWeights, LtvSystem, MatrixSchedule, Trajectory, _require_finite
+from .model import LqrWeights, LtvSystem, MatrixSchedule, Trajectory, _require, _system_rows
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,9 @@ def _dre_step(A_k, B_k, Q_k, R_k, P_next, context="LQR gain solve"):
 def solve_lqr(system: LtvSystem, weights: LqrWeights) -> RiccatiSolution:
     """Backward recursion from P_N = Q_N down to k = 0.
 
-    ValueError names the first schedule entry that holds a nan or inf.
+    ValueError names the first schedule that does not fit or holds a nan or inf.
     """
-    _require_finite({"A": system.A, "B": system.B, "Q": weights.Q, "R": weights.R})
+    _require(_system_rows(system, weights))
     return _solve_lqr(system, weights)
 
 
@@ -115,17 +115,16 @@ def _solve_lqr(system: LtvSystem, weights: LqrWeights) -> RiccatiSolution:
 def evaluate_cost(trajectory: Trajectory, weights: LqrWeights) -> float:
     """Quadratic cost x_N^T Q_N x_N + sum_k (x_k^T Q_k x_k + u_k^T R_k u_k).
 
-    ValueError names the trajectory field, or the weight entry, that holds a
-    nan or inf.
+    ValueError names the trajectory field that holds a nan or inf, or the
+    weight schedule that does not fit the trajectory or holds one.
     """
     xs, us = intake({"trajectory.states": trajectory.states,
                      "trajectory.inputs": trajectory.inputs})
     N = xs.shape[0] - 1
     if us.shape[0] != N:
         raise ValueError(f"{us.shape[0]} inputs for {N + 1} states")
-    if len(weights.Q) != N + 1 or len(weights.R) != N:
-        raise ValueError(f"weights sized for horizon {len(weights.R)}, trajectory has {N}")
-    _require_finite({"Q": weights.Q, "R": weights.R})
+    n, m = xs.shape[1], us.shape[1]
+    _require([(weights.Q, "Q", (n, n), N + 1), (weights.R, "R", (m, m), N)])
     return float(_costs(xs[None], us[None], weights)[0])
 
 

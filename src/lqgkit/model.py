@@ -258,13 +258,25 @@ def _field_violations(value, name: str, shape: tuple[int, ...] | None = None,
     return report
 
 
-def _require_finite(schedules: dict) -> None:
-    """ValueError with the finiteness line of `_field_violations` (as `Q[2]
-    has non-finite entries (nan or inf)`) for the first schedule, of the
-    name -> schedule dict, that holds a nan or inf."""
-    for name, schedule in schedules.items():
-        for line in _field_violations(schedule, name):
+def _require(rows) -> None:
+    """ValueError with the first shape, length or finiteness line of the
+    `_field_violations` of the (value, name, shape, length[, definite]) rows,
+    as `A has length 4, expected 5`; a row's definiteness is not checked."""
+    for row in rows:
+        for line in _field_violations(*row[:4]):
             raise ValueError(line)
+
+
+def _system_rows(system: LtvSystem, weights: LqrWeights | None = None) -> list[tuple]:
+    """The (value, name, shape, length[, definite]) rows `validate` checks
+    A, B, C and, if given, the weights with."""
+    n, m, p, N = system.n, system.m, system.p, system.N
+    steps = N if N >= 1 else None
+    rows = [(system.A, "A", (n, n), steps), (system.B, "B", (n, m), steps),
+            (system.C, "C", (p, n), steps)]
+    if weights is not None:
+        rows += [(weights.Q, "Q", (n, n), N + 1, False), (weights.R, "R", (m, m), N, True)]
+    return rows
 
 
 def validate(system: LtvSystem, weights: LqrWeights | None = None,
@@ -278,15 +290,11 @@ def validate(system: LtvSystem, weights: LqrWeights | None = None,
     entry only a schedule the certificate cannot, so every verdict is the
     eigenvalue test's.
     """
-    n, m, p, N = system.n, system.m, system.p, system.N
+    p, N = system.p, system.N
     report = [f"horizon N must be positive, got {N}"] if N < 1 else []
     if system.C is None and p != 0:
         report.append(f"p = {p} but no C schedule present")
-    steps = N if N >= 1 else None
-    rows = [(system.A, "A", (n, n), steps), (system.B, "B", (n, m), steps),
-            (system.C, "C", (p, n), steps)]
-    if weights is not None:
-        rows += [(weights.Q, "Q", (n, n), N + 1, False), (weights.R, "R", (m, m), N, True)]
+    rows = _system_rows(system, weights)
     if noise is not None:
         rows += _noise_rows(system, noise)
     for row in rows:

@@ -67,8 +67,8 @@ MUTANTS = (
            "_scaled(s.sim_Qd if s.sim_Qd is not None else noise.Qd, z[0])",
            "_scaled(noise.Qd, z[0])",
            ("tests/test_harness.py",)),
-    Mutant("noise-blocks-reuse-first-factors", "harness.py",
-           "psd_factor(entries[k:k + block])", "psd_factor(entries[:block])",
+    Mutant("noise-steps-reuse-first-factor", "harness.py",
+           "psd_factor(entry), z[:, k]", "psd_factor(entries[0]), z[:, k]",
            ("tests/test_harness.py",)),
     Mutant("feedback-always-truth", "harness.py",
            'fed = -1 if s.feedback == "estimate" else 0', "fed = 0",
@@ -81,6 +81,10 @@ MUTANTS = (
            ("tests/test_lqr.py",)),
     Mutant("cost-without-inputs", "lqr.py",
            "state[:, :N] + _quadratic_forms(us, weights.R.stack)", "state[:, :N]",
+           ("tests/test_lqr.py",)),
+    Mutant("steady-K-from-previous-P", "lqr.py",
+           "K, _ = _dre_step(A, B, Q, R, P, context)\n                return P, K",
+           "return P, K",
            ("tests/test_lqr.py",)),
     Mutant("steady-stop-at-100-tol", "lqr.py",
            "if residual <= tol:", "if residual <= tol * 1e2:",
@@ -103,6 +107,16 @@ MUTANTS = (
     Mutant("filter-update-without-joseph-term", "estimation.py",
            "ILC @ P @ ILC.T + L @ Rv @ L.T", "ILC @ P @ ILC.T",
            ("tests/test_estimation.py",)),
+    Mutant("predictor-cov-identity-A", "estimation.py",
+           "ALC = A - L @ C", "ALC = np.eye(len(A)) - L @ C",
+           ("tests/test_estimation.py",)),
+    Mutant("measurement-convention-swapped", "estimation.py",
+           "moved if self.filter_convention else block",
+           "block if self.filter_convention else moved",
+           ("tests/test_estimation.py",)),
+    Mutant("system-rows-without-length", "model.py",
+           '(system.A, "A", (n, n), steps)', '(system.A, "A", (n, n), None)',
+           ("tests/test_model.py", "tests/test_estimation.py", "tests/test_lqr.py")),
     Mutant("steady-estimator-from-zero", "estimation.py",
            'np.eye(A.shape[0]), tol, max_iter, "estimator"',
            'np.zeros_like(A), tol, max_iter, "estimator"',

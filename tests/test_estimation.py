@@ -465,6 +465,19 @@ def test_step_functions_name_a_non_finite_argument(call, name):
         call()
 
 
+@pytest.mark.parametrize("recorded", [
+    lambda: predictor_run(bench_system(5, True), bench_noise(5), ZEROS, ZEROS),
+    lambda: filter_run(bench_system(6, True), bench_noise(6), np.zeros((6, 1)), np.zeros((6, 1))),
+], ids=["predictor-run", "other-horizon"])
+def test_smoother_rejects_a_mis_sized_filter_run(recorded):
+    # for N = 5, a predictor run stores no (k|k) beliefs, and an N = 6
+    # filter run would read an A_5 that the system does not have
+    with pytest.raises(ValueError) as info:
+        smoother_run(bench_system(5, True), bench_noise(5), recorded())
+    assert str(info.value) == \
+        "filter run must store beliefs (k|k) for k=0..N and (k|k-1) for k=1..N"
+
+
 class TestBeliefSequence:
     """A run's beliefs read from its stacked arrays as a read-only list would."""
 

@@ -44,7 +44,7 @@ from lqgkit.cli import _bundled_scenario
 from lqgkit.estimation import BeliefSequence
 from lqgkit._linalg import psd_factor
 from lqgkit.harness import (CONTROLLERS, ESTIMATORS, FEEDBACK, _config_violations,
-                             _violations)
+                             _violations, _with_horizon)
 from lqgkit.model import MatrixSchedule
 
 
@@ -265,6 +265,25 @@ class TestRunValidation:
             run(replace(fig4_scenario(), **selector, **{field: value}))
         assert line in excinfo.value.violations
 
+    @pytest.mark.parametrize("changes, line", [
+        ({"estimator": "kalman"}, f"unknown estimator 'kalman' (choose from {ESTIMATORS})"),
+        ({"feedback": "both"}, f"unknown feedback 'both' (choose from {FEEDBACK})"),
+        ({"controller": "lqr", "weights": None}, "controller 'lqr' requires weights"),
+        ({"controller": "steady", "weights": None}, "controller 'steady' requires weights"),
+        ({"estimator": "luenberger"}, "estimator 'luenberger' requires luenberger_gain"),
+        ({"estimator": "none", "noise": None, "sim_Qd": None, "sim_Rv": None},
+         "sampled x0 requires a noise model (x0_mean, P0)"),
+        ({"x0_std": np.inf}, "x0_std is not finite, got inf"),
+        ({"x0_std": np.nan}, "x0_std is not finite, got nan"),
+    ], ids=["estimator", "feedback", "lqr-weights", "steady-weights", "luenberger-gain",
+            "sampled-x0-noise", "x0_std-inf", "x0_std-nan"])
+    def test_configuration_violation_named(self, changes, line):
+        scenario = replace(fig4_scenario(), **changes)
+        assert _violations(scenario) == [line]
+        with pytest.raises(ValidationError) as excinfo:
+            run(scenario)
+        assert excinfo.value.violations == [line]
+
     @pytest.mark.parametrize("x0_std", ["2.5", True, np.bool_(False), [2.5], 2.5j])
     def test_non_numeric_x0_std_reported(self, x0_std):
         scenario = replace(fig4_scenario(), x0_std=x0_std)
@@ -412,6 +431,20 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep(fig1_scenario(5), "noise", [1.0])
 
+    @pytest.mark.parametrize("axis", ["R-scale", "Q-scale"])
+    def test_scale_sweep_requires_weights(self, axis):
+        scenario = replace(fig4_scenario(), controller="none", weights=None)
+        with pytest.raises(ValidationError) as excinfo:
+            sweep(scenario, axis, [2.0])
+        assert excinfo.value.violations == [f"{axis} sweep requires weights"]
+
+    def test_horizon_sweep_of_a_noisy_scenario_equals_runs(self):
+        # the N axis re-horizons the noise model and the truth's covariances
+        # too; at the scenario's own N the point is the scenario's run
+        s = fig4_scenario()
+        assert sweep(s, "N", [10, 50]) == [point(N, run(_with_horizon(s, N))) for N in (10, 50)]
+        assert sweep(s, "N", [50]) == [point(50, run(s))]
+
     def test_order_stable(self):
         points = sweep(fig1_scenario(5), "N", [50, 5])
         assert [pt.value for pt in points] == [50.0, 5.0]
@@ -505,26 +538,6 @@ def test_seed_sweep_equals_independent_runs(scenario, seeds):
         [point(v, run(replace(scenario, seed=v))) for v in seeds]
 
 
-@pytest.mark.parametrize("case", ["definite", "semidefinite", "order-0", "constant"])
-def test_factors_equal_psd_factor_of_each_entry(case):
-    rng = np.random.default_rng(5)
-    n = 0 if case == "order-0" else 3
-    W = rng.standard_normal((6, n, n))
-    entries = W @ W.swapaxes(1, 2) + 0.1 * np.eye(n)
-    if case == "semidefinite":
-        entries[4] = np.diag([1.0, 0.0, 2.0])
-    sched = MatrixSchedule(entries[:1], 6) if case == "constant" else MatrixSchedule(entries)
-    factors = psd_factor(sched.distinct())
-    assert factors.shape == sched.distinct().shape
-    assert same(factors, np.array([psd_factor(M) for M in sched.distinct()]))
-
-
-def test_factor_stack_rejects_an_indefinite_entry():
-    entries = np.array([np.eye(3), np.diag([1.0, 0.0, 2.0]), np.diag([1.0, -1.0, 2.0])])
-    with pytest.raises(np.linalg.LinAlgError, match="covariance is indefinite"):
-        psd_factor(entries)
-
-
 def psd_schedule(rng, r, N, singular):
     """A time-varying PSD schedule of N entries of order r, entry `singular`
     (if any) semidefinite."""
@@ -536,9 +549,9 @@ def psd_schedule(rng, r, N, singular):
 
 
 @pytest.mark.parametrize("n, p, N, seeds, singular", [
-    pytest.param(4, 3, 5, [11], 2, id="one-entry-blocks"),       # 5 // 4 = 5 // 3 = 1
-    pytest.param(2, 1, 7, [11], 4, id="several-entry-blocks"),   # 7 // 2 = 3, a ragged last
-    pytest.param(4, 3, 5, [11, 0, 7], 2, id="stacked-seeds"),    # 15 // 4 = 3, 15 // 3 = 5
+    pytest.param(4, 3, 5, [11], 2, id="one-entry-blocks"),       # one seed, n > p
+    pytest.param(2, 1, 7, [11], 4, id="several-entry-blocks"),   # one seed, a longer horizon
+    pytest.param(4, 3, 5, [11, 0, 7], 2, id="stacked-seeds"),    # three seeds in one pass
     pytest.param(0, 1, 3, [11, 2], None, id="order-0"),
 ])
 def test_truth_noise_is_each_entry_factor_times_replayed_normals(n, p, N, seeds, singular):

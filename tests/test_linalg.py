@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from numpy.linalg import _umath_linalg
 
 from lqgkit import ConvergenceError, solve_dare_lqr
 from lqgkit._linalg import _TRIANGULAR_MAX_ORDER, solve_spd, symmetrize
@@ -148,16 +147,17 @@ def test_numpy_path_equals_np_linalg(n, stack, rhs):
 @pytest.mark.parametrize("n", [2, 16])
 @pytest.mark.parametrize("rhs", [(), (2,)], ids=["vector", "n x 2"])
 def test_failed_solve_raises_as_np_linalg(monkeypatch, n, rhs):
-    # a solve gufunc whose LAPACK call fails (a zero pivot) returns nan and
-    # flags "invalid"; under np.linalg's error policy that is "Singular matrix"
-    def failed(a, b, **kwargs):
-        return np.sqrt(-np.ones(b.shape))
+    # a solve whose LAPACK call fails (a zero pivot) raises np.linalg's
+    # "Singular matrix", which solve_spd lets through unwrapped on both paths
+    error = np.linalg.LinAlgError("Singular matrix")
 
-    for name in ("solve", "solve1"):
-        monkeypatch.setattr(_umath_linalg, name, failed)
-    S, B = spd(n, 7), np.ones((n, *rhs))
-    got = outcome(lambda S, B: solve_spd(S, B, "test"), S, B)
-    assert got == outcome(np_linalg_solve, S, B) == (np.linalg.LinAlgError, "Singular matrix")
+    def failed(a, b):
+        raise error
+
+    monkeypatch.setattr(np.linalg, "solve", failed)
+    with pytest.raises(np.linalg.LinAlgError) as raised:
+        solve_spd(spd(n, 7), np.ones((n, *rhs)), "test")
+    assert raised.value is error
 
 
 NOT_PD = "ctx: matrix is not positive definite (Matrix is not positive definite)"

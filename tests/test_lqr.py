@@ -213,6 +213,21 @@ class TestEvaluateCost:
             evaluate_cost(traj, bench_weights(7))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: evaluate_cost(Trajectory(np.zeros((6, 2)), np.zeros((4, 1))), bench_weights(5)),
+     "4 inputs for 6 states"),
+    (lambda: mayne_murdoch_gain([0.5, 0.6], [0.1], [1.0, 1.0]),
+     "open_eigs, desired_eigs, B_diag must have equal length"),
+    (lambda: settling_report(solve_lqr(bench_system(5), bench_weights(5)),
+                             simulate_closed_loop(bench_system(6), K_STEADY, X0_BENCH)),
+     "solution horizon 5 does not match trajectory 6"),
+], ids=["evaluate_cost", "mayne_murdoch_gain", "settling_report"])
+def test_mismatched_lengths_rejected(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestSolveDareLqr:
     def test_benchmark_fixture(self):
         result = solve_dare_lqr(A_BENCH, B_BENCH, np.eye(2), 1.0)
@@ -409,6 +424,8 @@ class TestSimulateClosedLoop:
         with pytest.raises(ValueError):
             simulate_closed_loop(bench_system(5), MatrixSchedule.of([np.zeros((1, 2))] * 4),
                                  X0_BENCH)
+        with pytest.raises(ValueError, match=r"^x0 has shape \(3,\), expected \(2,\)$"):
+            simulate_closed_loop(bench_system(5), K_STEADY, [1.0, 2.0, 3.0])
 
 
 class TestSettlingReport:

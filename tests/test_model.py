@@ -1,12 +1,20 @@
+import re
+
 import numpy as np
 import pytest
 
-from conftest import A_BENCH, B_BENCH, bench_noise, bench_system, bench_weights
+from conftest import A_BENCH, B_BENCH, X0_BENCH, bench_noise, bench_system, bench_weights
 from lqgkit import (
     LqrWeights,
     LtvSystem,
     MatrixSchedule,
     NoiseModel,
+    evaluate_cost,
+    filter_run,
+    predictor_run,
+    simulate_closed_loop,
+    smoother_run,
+    solve_lqr,
     validate,
 )
 
@@ -47,6 +55,10 @@ class TestMatrixSchedule:
     def test_mixed_shapes_rejected(self):
         with pytest.raises(ValueError, match="all schedule entries must share one shape"):
             MatrixSchedule.of([np.eye(2), np.eye(3)])
+
+    def test_entries_must_be_one_or_the_length(self):
+        with pytest.raises(ValueError, match=r"^schedule has 3 entries but length 5 requested$"):
+            MatrixSchedule(np.zeros((3, 2, 2)), 5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -102,6 +114,10 @@ class TestValidate:
         report = validate(bad)
         assert any("B entries have shape" in line for line in report)
 
+    def test_outputs_without_c_flagged(self):
+        report = validate(LtvSystem(n=2, m=1, p=1, N=5, A=bench_system(5).A, B=bench_system(5).B))
+        assert report == ["p = 1 but no C schedule present"]
+
     def test_indefinite_q_flagged(self):
         weights = LqrWeights.constant(np.diag([1.0, -1.0]), 1.0, horizon=5)
         report = validate(bench_system(5), weights)
@@ -144,3 +160,46 @@ class TestValidate:
         report = validate(bench_system(4, with_output=True), noise=noise)
         assert report == ["Qd[2] has non-finite entries (nan or inf)",
                           "x0_mean has non-finite entries (nan or inf)"]
+
+
+def malformed_call(function: str, field: str):
+    """A call of the public `function` on the N = 5 benchmark model with one
+    malformed field: A cut to 4 entries, B given 3 rows, Q given 3 rows and
+    columns, or R cut to 4 entries."""
+    N = 5
+    good = bench_system(N, with_output=True)
+    A = MatrixSchedule.of([A_BENCH] * 4) if field == "A" else good.A
+    B = MatrixSchedule.constant(np.ones((3, 1)) if field == "B" else B_BENCH, N)
+    system = LtvSystem(n=2, m=1, p=1, N=N, A=A, B=B, C=good.C)
+    weights = LqrWeights(Q=MatrixSchedule.constant(np.eye(3 if field == "Q" else 2), N + 1),
+                         R=MatrixSchedule.constant(np.eye(1), N - 1 if field == "R" else N))
+    noise = bench_noise(N)
+    inputs, measurements = np.zeros((N, 1)), np.ones((N, 1))
+    calls = {
+        "solve_lqr": lambda: solve_lqr(system, weights),
+        "evaluate_cost": lambda: evaluate_cost(
+            simulate_closed_loop(good, np.zeros((1, 2)), X0_BENCH), weights),
+        "simulate_closed_loop": lambda: simulate_closed_loop(system, np.ones((1, 2)), X0_BENCH),
+        "filter_run": lambda: filter_run(system, noise, inputs, measurements),
+        "predictor_run": lambda: predictor_run(system, noise, inputs, measurements),
+        "smoother_run": lambda: smoother_run(
+            system, noise, filter_run(good, noise, inputs, measurements)),
+    }
+    return calls[function]
+
+
+MALFORMED = {"A": "A has length 4, expected 5",
+             "B": "B entries have shape (3, 1), expected (2, 1)",
+             "Q": "Q entries have shape (3, 3), expected (2, 2)",
+             "R": "R has length 4, expected 5"}
+
+
+@pytest.mark.parametrize("function, field", [
+    (function, field) for function in ("solve_lqr", "simulate_closed_loop", "filter_run",
+                                       "predictor_run", "smoother_run") for field in "AB"
+] + [("solve_lqr", "Q"), ("solve_lqr", "R"), ("evaluate_cost", "Q"), ("evaluate_cost", "R")])
+def test_public_functions_name_a_malformed_field(function, field):
+    # a mis-sized schedule is a ValueError naming the field, never an
+    # IndexError or a bare numpy shape error from deep inside the recursion
+    with pytest.raises(ValueError, match=f"^{re.escape(MALFORMED[field])}$"):
+        malformed_call(function, field)()

@@ -166,6 +166,34 @@ class TestDiagnostics:
         with pytest.raises(ScenarioError, match="noise.Rv"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("system", "A", None, "system.A: matrix is required"),
+        ("system", "B", None, "system.B: matrix is required"),
+        ("weights", "R", None, "weights: both Q and R are required"),
+        ("noise", "Qd", None, "noise.Qd: field is required"),
+        ("run", "estimator", "kalman",
+         f"run.estimator: must be one of {', '.join(ESTIMATORS)}, got 'kalman'"),
+        ("run", "feedback", "both",
+         f"run.feedback: must be one of {', '.join(FEEDBACK)}, got 'both'"),
+        ("run", "x0", "origin", "run.x0: expected a vector or 'sampled', got 'origin'"),
+        ("run", "seed", 1.5, "run.seed: must be an integer, got 1.5"),
+        ("noise", "P0", [[[1.0, 0.0], [0.0, 1.0]]],
+         "noise.P0: expected a matrix, got a 3-dimensional array"),
+        ("noise", "x0_mean", ["ten", 5.0], "noise.x0_mean: entries are not numeric"),
+        ("run", "x0", [[10.0, 5.0]], "run.x0: expected a flat vector, got shape (1, 2)"),
+    ], ids=["no-A", "no-B", "no-R", "no-Qd", "estimator", "feedback", "x0-text", "seed-float",
+            "3-D-matrix", "non-numeric-vector", "non-flat-vector"])
+    def test_field_rejected_and_named(self, section, key, value, message):
+        # a None value removes the key; any other replaces its value
+        doc = yaml.safe_load(FULL)
+        if value is None:
+            del doc[section][key]
+        else:
+            doc[section][key] = value
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(yaml.safe_dump(doc))
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("section", SECTION_KEYS)
     def test_section_must_be_a_mapping(self, section):
         doc = yaml.safe_load(FULL)
