@@ -46,23 +46,6 @@ def _freeze(M, ndmin: int = 0) -> np.ndarray:
     return M
 
 
-def intake(arguments: dict, vectors=()) -> list[np.ndarray]:
-    """Each value of the name -> value dict `arguments`, in order, `_freeze`d
-    with at least one axis if its name is in `vectors`, else two; ValueError
-    names the first that holds a nan or inf (None, as a float array, is nan).
-
-    Every public function takes its array arguments with this: `solve_spd`
-    takes an inf on the diagonal of S as positive definite and solves around
-    it, and a nan would only come back as nan results.  Runs check their
-    schedules once, in `validate`, and call the private kernels.
-    """
-    frozen = [_freeze(value, 1 if name in vectors else 2) for name, value in arguments.items()]
-    for name, value in zip(arguments, frozen):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} has non-finite entries (nan or inf)")
-    return frozen
-
-
 def matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     """M x for every vector x along the last axis of X, in one stacked matmul.
 

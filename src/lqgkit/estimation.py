@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _freeze, intake, matvec, solve_spd, spectral_radius, symmetrize
+from ._linalg import _freeze, matvec, solve_spd, spectral_radius, symmetrize
 from .lqr import _steady_riccati
-from .model import (LtvSystem, NoiseModel, ValidationError, _field_violations, _noise_rows,
-                    _planned, _require, _system_rows)
+from .model import (LtvSystem, NoiseModel, ValidationError, _field_violations, _intake,
+                    _noise_rows, _planned, _system_rows)
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,8 @@ def luenberger_step(A: np.ndarray, B: np.ndarray, C: np.ndarray, L: np.ndarray,
 
     ValueError names an argument that holds a nan or inf.
     """
-    return _observer_update(*intake({"A": A, "B": B, "C": C, "L": L, "x_hat": x_hat, "u": u,
-                                     "y": y}, vectors=("x_hat", "u", "y")))
+    return _observer_update(*_intake((A, "A"), (B, "B"), (C, "C"), (L, "L"), (x_hat, "x_hat"),
+                                     (u, "u"), (y, "y"), vectors=("x_hat", "u", "y")))
 
 
 def _observer_update(A, B, C, L, x_hat, u, y):
@@ -198,9 +198,9 @@ def predictor_step(A_k, B_k, C_k, Qd_k, Rv_k, belief: Belief, u_k, y_k
 
     ValueError names an argument that holds a nan or inf.
     """
-    A_k, B_k, C_k, Qd_k, Rv_k, mean, P, u_k, y_k = intake(
-        {"A_k": A_k, "B_k": B_k, "C_k": C_k, "Qd_k": Qd_k, "Rv_k": Rv_k,
-         "belief.mean": belief.mean, "belief.cov": belief.cov, "u_k": u_k, "y_k": y_k},
+    A_k, B_k, C_k, Qd_k, Rv_k, mean, P, u_k, y_k = _intake(
+        (A_k, "A_k"), (B_k, "B_k"), (C_k, "C_k"), (Qd_k, "Qd_k"), (Rv_k, "Rv_k"),
+        (belief.mean, "belief.mean"), (belief.cov, "belief.cov"), (u_k, "u_k"), (y_k, "y_k"),
         vectors=("belief.mean", "u_k", "y_k"))
     L, cov = _predictor_gain(A_k, C_k, Qd_k, Rv_k, P)
     k = belief.tag[0]
@@ -213,9 +213,9 @@ def filter_predict(A_prev, B_prev, Qd_prev, belief: Belief, u_prev) -> Belief:
 
     ValueError names an argument that holds a nan or inf.
     """
-    A_prev, B_prev, Qd_prev, mean, P, u_prev = intake(
-        {"A_prev": A_prev, "B_prev": B_prev, "Qd_prev": Qd_prev, "belief.mean": belief.mean,
-         "belief.cov": belief.cov, "u_prev": u_prev}, vectors=("belief.mean", "u_prev"))
+    A_prev, B_prev, Qd_prev, mean, P, u_prev = _intake(
+        (A_prev, "A_prev"), (B_prev, "B_prev"), (Qd_prev, "Qd_prev"), (belief.mean, "belief.mean"),
+        (belief.cov, "belief.cov"), (u_prev, "u_prev"), vectors=("belief.mean", "u_prev"))
     k = belief.tag[0]
     return Belief(mean=_advance(A_prev, mean, matvec(B_prev, u_prev)),
                   cov=_time_update(A_prev, Qd_prev, P), tag=(k + 1, k))
@@ -230,9 +230,9 @@ def filter_update(C_k, Rv_k, belief: Belief, y_k) -> tuple[Belief, np.ndarray]:
 
     ValueError names an argument that holds a nan or inf.
     """
-    C_k, Rv_k, mean, P, y_k = intake(
-        {"C_k": C_k, "Rv_k": Rv_k, "belief.mean": belief.mean, "belief.cov": belief.cov,
-         "y_k": y_k}, vectors=("belief.mean", "y_k"))
+    C_k, Rv_k, mean, P, y_k = _intake(
+        (C_k, "C_k"), (Rv_k, "Rv_k"), (belief.mean, "belief.mean"), (belief.cov, "belief.cov"),
+        (y_k, "y_k"), vectors=("belief.mean", "y_k"))
     L, cov = _filter_gain(C_k, Rv_k, P)
     mean = _correct(mean, L, y_k - matvec(C_k, mean))
     k = belief.tag[0]
@@ -394,15 +394,11 @@ def _estimate(kind: str, system: LtvSystem, noise: NoiseModel, inputs, measureme
     naming each field): Qd, Rv and P0 must be symmetric PSD."""
     if system.C is None:
         raise ValueError("system must have a measurement matrix C, got None")
-    inputs, measurements = intake({"inputs": inputs, "measurements": measurements},
-                                  vectors=("inputs", "measurements"))
-    for name, value, width in (("inputs", inputs, "m"), ("measurements", measurements, "p")):
-        shape = (system.N, getattr(system, width))
-        if value.shape != shape:
-            raise ValueError(f"{name} must have shape (N, {width}) = {shape}, got {value.shape}")
+    inputs, measurements = _intake((inputs, "inputs", (system.N, system.m)),
+                                   (measurements, "measurements", (system.N, system.p)))
 
     def build() -> _EstimatorPlan:
-        _require(_system_rows(system))
+        _intake(*_system_rows(system))
         # Rv only semidefinite: the solve decides a near-singular S itself
         report = [line for value, name, shape, length, definite in _noise_rows(system, noise)
                   for line in _field_violations(value, name, shape, length,
@@ -451,19 +447,19 @@ def smoother_run(system: LtvSystem, noise: NoiseModel, filtered: EstimatorRun) -
 
     The gain solves the symmetric system P_{k+1|k} X = A_k P_{k|k} (X = Ls^T);
     a singular predicted covariance (possible only with a degenerate Qd) is
-    an error, and ValueError names a filter run of another horizon, or the
-    schedule or filter run array that does not fit or holds a nan or inf.
+    an error, and ValueError names the first schedule or filter run array
+    that does not fit the system or holds a nan or inf: the run must store
+    beliefs (k|k) for k = 0..N and (k|k-1) for k = 1..N of n states.
     `noise` is not read: the filter run holds every covariance the pass
     needs, and the parameter stays for compatibility.
     """
-    predicted, updated = filtered.predicted, filtered.updated
-    if len(updated) != system.N + 1 or len(predicted) != system.N:
-        raise ValueError("filter run must store beliefs (k|k) for k=0..N and (k|k-1) for k=1..N")
-    _require(_system_rows(system) + [
-        (updated.means, "updated.means"), (updated.covs, "updated.covs"),
-        (predicted.means, "predicted.means"), (predicted.covs, "predicted.covs")])
-    gains, covs = _smoother_covariances(system.A.stack, updated.covs, predicted.covs)
-    means = _smoother_means(gains, updated.means, predicted.means)
+    n, N, predicted, updated = system.n, system.N, filtered.predicted, filtered.updated
+    *_, x_upd, P_upd, x_pred, P_pred = _intake(
+        *_system_rows(system), (updated.means, "updated.means", (N + 1, n)),
+        (updated.covs, "updated.covs", (N + 1, n, n)),
+        (predicted.means, "predicted.means", (N, n)), (predicted.covs, "predicted.covs", (N, n, n)))
+    gains, covs = _smoother_covariances(system.A.stack, P_upd, P_pred)
+    means = _smoother_means(gains, x_upd, x_pred)
     return EstimatorRun(predicted, updated, BeliefSequence(means, covs, 0, None), gains,
                         filtered.innovations)
 
@@ -482,7 +478,7 @@ def solve_dare_estimator(A: np.ndarray, C: np.ndarray, Qd: np.ndarray, Rv: np.nd
     definite raises LinAlgError naming it, with the solve's diagnostic, and
     ValueError names an argument that holds a nan or inf.
     """
-    A, C, Qd, Rv = intake({"A": A, "C": C, "Qd": Qd, "Rv": Rv})
+    A, C, Qd, Rv = _intake((A, "A"), (C, "C"), (Qd, "Qd"), (Rv, "Rv"))
     P, K, iterations, residual = _steady_riccati(
         A.T, C.T, Qd, Rv, np.eye(A.shape[0]), tol, max_iter, "estimator",
         "estimator innovation covariance")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import _freeze, intake, matvec, psd_factor
+from ._linalg import _freeze, matvec, psd_factor
 from .estimation import EstimatorRun, _EstimatorPlan, _StackedPass
 from .lqr import (
     RiccatiSolution,
@@ -41,8 +41,8 @@ from .model import (
     Trajectory,
     ValidationError,
     _field_violations,
+    _intake,
     _planned,
-    _require,
     _system_rows,
     validate,
 )
@@ -367,9 +367,8 @@ def simulate_closed_loop(system: LtvSystem, gains, x0: np.ndarray) -> Trajectory
         gains = gains.K
     if not isinstance(gains, MatrixSchedule):
         gains = MatrixSchedule.constant(gains, system.N)
-    x0 = intake({"x0": x0}, vectors=("x0",))[0]
-    _require(_system_rows(system) + [(gains, "gains", (system.m, system.n), system.N),
-                                     (x0, "x0", (system.n,))])
+    *_, x0 = _intake(*_system_rows(system), (gains, "gains", (system.m, system.n), system.N),
+                     (x0, "x0", (system.n,)))
     scenario = Scenario(system, x0=x0)
     runs = _simulate(scenario, _Plan(gains, None, None, None), [0])[0]
     return Trajectory(states=runs.states[0], inputs=runs.inputs[0])

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import ConvergenceError, intake, solve_spd, spectral_radius, symmetrize
-from .model import LqrWeights, LtvSystem, MatrixSchedule, Trajectory, _require, _system_rows
+from ._linalg import ConvergenceError, solve_spd, spectral_radius, symmetrize
+from .model import LqrWeights, LtvSystem, MatrixSchedule, Trajectory, _intake, _system_rows
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,9 @@ class RiccatiSolution:
         return len(self.K)
 
     def optimal_cost(self, x0: np.ndarray) -> float:
-        """Value function at the initial state: x0^T P_0 x0; ValueError on a
-        nan or inf in x0."""
-        x0 = intake({"x0": x0}, vectors=("x0",))[0]
+        """Value function at the initial state: x0^T P_0 x0; ValueError on an
+        x0 of another shape than (n,) or holding a nan or inf."""
+        x0, = _intake((x0, "x0", self.P.shape[:1]))
         return float(x0 @ self.P[0] @ x0)
 
 
@@ -78,7 +78,8 @@ def dre_step(A_k: np.ndarray, B_k: np.ndarray, Q_k: np.ndarray, R_k: np.ndarray,
     factorization failure signals a violated R > 0 precondition.  ValueError
     names an argument that holds a nan or inf.
     """
-    return _dre_step(*intake({"A_k": A_k, "B_k": B_k, "Q_k": Q_k, "R_k": R_k, "P_next": P_next}))
+    return _dre_step(*_intake((A_k, "A_k"), (B_k, "B_k"), (Q_k, "Q_k"), (R_k, "R_k"),
+                              (P_next, "P_next")))
 
 
 def _dre_step(A_k, B_k, Q_k, R_k, P_next, context="LQR gain solve"):
@@ -96,7 +97,7 @@ def solve_lqr(system: LtvSystem, weights: LqrWeights) -> RiccatiSolution:
 
     ValueError names the first schedule that does not fit or holds a nan or inf.
     """
-    _require(_system_rows(system, weights))
+    _intake(*_system_rows(system, weights))
     return _solve_lqr(system, weights)
 
 
@@ -115,16 +116,16 @@ def _solve_lqr(system: LtvSystem, weights: LqrWeights) -> RiccatiSolution:
 def evaluate_cost(trajectory: Trajectory, weights: LqrWeights) -> float:
     """Quadratic cost x_N^T Q_N x_N + sum_k (x_k^T Q_k x_k + u_k^T R_k u_k).
 
-    ValueError names the trajectory field that holds a nan or inf, or the
-    weight schedule that does not fit the trajectory or holds one.
+    ValueError names the first of the trajectory's states and inputs and Q
+    and R that does not fit the trajectory or holds a nan or inf.
     """
-    xs, us = intake({"trajectory.states": trajectory.states,
-                     "trajectory.inputs": trajectory.inputs})
-    N = xs.shape[0] - 1
-    if us.shape[0] != N:
-        raise ValueError(f"{us.shape[0]} inputs for {N + 1} states")
-    n, m = xs.shape[1], us.shape[1]
-    _require([(weights.Q, "Q", (n, n), N + 1), (weights.R, "R", (m, m), N)])
+    x_shape, u_shape = np.shape(trajectory.states), np.shape(trajectory.inputs)
+    # the trajectory sets N, n and m; the weights stand in for an axis it lacks
+    N = (x_shape[:1] or (len(weights.R) + 1,))[0] - 1
+    n, m = (x_shape[1:] or weights.Q.shape)[0], (u_shape[1:] or weights.R.shape)[0]
+    xs, us, _, _ = _intake((trajectory.states, "trajectory.states", (N + 1, n)),
+                           (trajectory.inputs, "trajectory.inputs", (N, m)),
+                           (weights.Q, "Q", (n, n), N + 1), (weights.R, "R", (m, m), N))
     return float(_costs(xs[None], us[None], weights)[0])
 
 
@@ -231,7 +232,7 @@ def solve_dare_lqr(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
     _STALL_WINDOW iterations after its best.  ValueError names an argument
     that holds a nan or inf.
     """
-    A, B, Q, R = intake({"A": A, "B": B, "Q": Q, "R": R})
+    A, B, Q, R = _intake((A, "A"), (B, "B"), (Q, "Q"), (R, "R"))
     P, K, iterations, residual = _steady_riccati(A, B, Q, R, Q, tol, max_iter, "LQR")
     return SteadyStateLqr(P=P, K=K, iterations=iterations, residual=residual,
                           closed_loop_spectral_radius=spectral_radius(A - B @ K))
@@ -247,11 +248,13 @@ def mayne_murdoch_gain(open_eigs, desired_eigs, B_diag) -> np.ndarray:
 
     Requires distinct open-loop eigenvalues and nonzero B entries.  Complex
     desired eigenvalues are accepted; the gain is returned real when its
-    imaginary part is negligible (conjugate-pair placements).
+    imaginary part is negligible (conjugate-pair placements).  ValueError
+    names an argument that holds a nan or inf.
     """
-    lam = np.atleast_1d(np.asarray(open_eigs))
-    mu = np.atleast_1d(np.asarray(desired_eigs))
-    b = np.atleast_1d(np.asarray(B_diag))
+    lam, mu, b = (np.atleast_1d(np.asarray(v)) for v in (open_eigs, desired_eigs, B_diag))
+    # checked by real and imaginary parts, so complex values stay complex
+    _intake(*((np.stack((v.real, v.imag)), name) for v, name in
+              ((lam, "open_eigs"), (mu, "desired_eigs"), (b, "B_diag"))))
     n = lam.shape[0]
     if mu.shape[0] != n or b.shape[0] != n:
         raise ValueError("open_eigs, desired_eigs, B_diag must have equal length")

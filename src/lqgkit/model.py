@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import DEFINITENESS_TOL, _freeze, definiteness
-from .stochastic import GaussianVector
 
 
 # (*map(id, owners), settings) -> (weak references to the owners, their plan).
@@ -199,6 +198,7 @@ class NoiseModel:
         )
 
     def initial_belief(self) -> GaussianVector:
+        from .stochastic import GaussianVector     # here: stochastic imports `_intake` from us
         return GaussianVector(mean=self.x0_mean, cov=self.P0)
 
 
@@ -258,22 +258,39 @@ def _field_violations(value, name: str, shape: tuple[int, ...] | None = None,
     return report
 
 
-def _require(rows) -> None:
-    """ValueError with the first shape, length or finiteness line of the
-    `_field_violations` of the (value, name, shape, length[, definite]) rows,
-    as `A has length 4, expected 5`; a row's definiteness is not checked."""
-    for row in rows:
-        for line in _field_violations(*row[:4]):
+def _intake(*rows, vectors=()) -> list:
+    """The values of the (value, name[, shape[, length[, definite]]]) rows, in
+    order: a schedule as it is, any other value `_freeze`d, with at least one
+    axis if its name is in `vectors`, else two, unless the row gives a shape,
+    which the value must have as passed.  ValueError with the first shape,
+    length or finiteness line of a row's `_field_violations`, as `A has
+    length 4, expected 5` or `x has shape (3,), expected (2,)`; definiteness
+    is not checked, and None, as a float array, is nan.
+
+    Every public function takes its arguments with this: `solve_spd` takes an
+    inf on the diagonal of S as positive definite and solves around it, and a
+    nan would only come back as nan results.  Runs check their schedules
+    once, in `validate`, and call the private kernels.
+    """
+    taken = []
+    for value, name, *fit in rows:
+        if not isinstance(value, MatrixSchedule):
+            value = _freeze(value, 0 if fit and fit[0] is not None else
+                            1 if name in vectors else 2)
+        for line in _field_violations(value, name, *fit[:2]):
             raise ValueError(line)
+        taken.append(value)
+    return taken
 
 
 def _system_rows(system: LtvSystem, weights: LqrWeights | None = None) -> list[tuple]:
     """The (value, name, shape, length[, definite]) rows `validate` checks
-    A, B, C and, if given, the weights with."""
+    A, B, C (if present) and, if given, the weights with."""
     n, m, p, N = system.n, system.m, system.p, system.N
     steps = N if N >= 1 else None
-    rows = [(system.A, "A", (n, n), steps), (system.B, "B", (n, m), steps),
-            (system.C, "C", (p, n), steps)]
+    rows = [(system.A, "A", (n, n), steps), (system.B, "B", (n, m), steps)]
+    if system.C is not None:
+        rows.append((system.C, "C", (p, n), steps))
     if weights is not None:
         rows += [(weights.Q, "Q", (n, n), N + 1, False), (weights.R, "R", (m, m), N, True)]
     return rows

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _freeze, intake, psd_factor, solve_spd, symmetrize
+from ._linalg import _freeze, psd_factor, solve_spd, symmetrize
+from .model import _intake
 
 _TWO_PI = 2.0 * math.pi
 
@@ -121,7 +122,7 @@ def _predraw(streams: list[GaussianStream], head: int, counts: tuple[int, ...], 
 def gaussian_pdf(x: float, mean: float, var: float) -> float:
     """Scalar Gaussian density at x; ValueError names an argument that holds
     a nan or inf."""
-    intake({"x": x, "mean": mean, "var": var})
+    _intake((x, "x"), (mean, "mean"), (var, "var"))
     if var <= 0.0:
         raise ValueError(f"variance must be positive, got {var}")
     d = x - mean
@@ -132,12 +133,11 @@ def multivariate_gaussian_pdf(x: np.ndarray, g: GaussianVector) -> float:
     """Multivariate Gaussian density at x.
 
     Determinant and quadratic form both come from one Cholesky factorization;
-    singular covariances raise LinAlgError.  ValueError names an argument
-    that holds a nan or inf.
+    singular covariances raise LinAlgError.  ValueError names an x of
+    another shape than g.mean's, or an argument that holds a nan or inf.
     """
-    x, mean, cov = intake({"x": x, "g.mean": g.mean, "g.cov": g.cov}, vectors=("x", "g.mean"))
-    if x.shape != mean.shape:
-        raise ValueError(f"x must have shape {g.mean.shape}, got {x.shape}")
+    x, mean, cov = _intake((x, "x", g.mean.shape), (g.mean, "g.mean"), (g.cov, "g.cov"),
+                           vectors=("g.mean",))
     try:
         chol = np.linalg.cholesky(symmetrize(cov))
     except np.linalg.LinAlgError as exc:
@@ -156,16 +156,14 @@ def condition(joint: JointGaussian, y_obs: np.ndarray) -> GaussianVector:
     cov  = V(x) - V(x,y) V(y)^-1 V(y,x)
 
     The gain V(x,y) V(y)^-1 is obtained by a symmetric solve, never by
-    forming the inverse.  ValueError names a block of `joint`, or y_obs,
-    that holds a nan or inf.
+    forming the inverse.  ValueError names a y_obs of another shape than
+    joint.mean_y's, or a block of `joint`, or y_obs, that holds a nan or inf.
     """
-    mean_x, mean_y, cov_xx, cov_xy, cov_yy, y_obs = intake(
-        {"joint.mean_x": joint.mean_x, "joint.mean_y": joint.mean_y,
-         "joint.cov_xx": joint.cov_xx, "joint.cov_xy": joint.cov_xy,
-         "joint.cov_yy": joint.cov_yy, "y_obs": y_obs},
-        vectors=("joint.mean_x", "joint.mean_y", "y_obs"))
-    if y_obs.shape != mean_y.shape:
-        raise ValueError(f"y_obs must have shape {mean_y.shape}, got {y_obs.shape}")
+    mean_x, mean_y, cov_xx, cov_xy, cov_yy, y_obs = _intake(
+        (joint.mean_x, "joint.mean_x"), (joint.mean_y, "joint.mean_y"),
+        (joint.cov_xx, "joint.cov_xx"), (joint.cov_xy, "joint.cov_xy"),
+        (joint.cov_yy, "joint.cov_yy"), (y_obs, "y_obs", joint.mean_y.shape),
+        vectors=("joint.mean_x", "joint.mean_y"))
     # G^T = V(y)^-1 V(y,x); V(y) symmetric.
     gain = solve_spd(cov_yy, cov_xy.T, "conditioning on y").T
     mean = mean_x + gain @ (y_obs - mean_y)
@@ -181,7 +179,7 @@ def sample_gaussian(g: GaussianVector, stream: GaussianStream, count: int = 1) -
     count * n normals is consumed, in sample-major order.  ValueError names
     a field of g that holds a nan or inf.
     """
-    mean, cov = intake({"g.mean": g.mean, "g.cov": g.cov}, vectors=("g.mean",))
+    mean, cov = _intake((g.mean, "g.mean"), (g.cov, "g.cov"), vectors=("g.mean",))
     S = psd_factor(cov)
     n = g.dim
     z = stream.standard_normal(count * n).reshape(count, n)

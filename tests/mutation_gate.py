@@ -114,6 +114,10 @@ MUTANTS = (
            "moved if self.filter_convention else block",
            "block if self.filter_convention else moved",
            ("tests/test_estimation.py",)),
+    Mutant("smoother-rows-take-the-run-state-order", "estimation.py",
+           "n, N, predicted, updated = system.n,",
+           "n, N, predicted, updated = filtered.updated.means.shape[-1],",
+           ("tests/test_estimation.py",)),
     Mutant("system-rows-without-length", "model.py",
            '(system.A, "A", (n, n), steps)', '(system.A, "A", (n, n), None)',
            ("tests/test_model.py", "tests/test_estimation.py", "tests/test_lqr.py")),

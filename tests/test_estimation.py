@@ -40,6 +40,7 @@ from lqgkit import (
     filter_update,
     gaussian_pdf,
     luenberger_step,
+    mayne_murdoch_gain,
     multivariate_gaussian_pdf,
     predictor_run,
     predictor_step,
@@ -344,12 +345,11 @@ class TestFilterRun:
 
 @pytest.mark.parametrize("estimator", [filter_run, predictor_run])
 @pytest.mark.parametrize("inputs, measurements, message", [
-    (np.zeros(5), np.zeros((5, 1)), r"inputs must have shape \(N, m\) = \(5, 1\), got \(5,\)"),
-    (np.zeros((5, 1)), np.zeros((5, 2)),
-     r"measurements must have shape \(N, p\) = \(5, 1\), got \(5, 2\)"),
+    (np.zeros(5), np.zeros((5, 1)), "inputs has shape (5,), expected (5, 1)"),
+    (np.zeros((5, 1)), np.zeros((5, 2)), "measurements has shape (5, 2), expected (5, 1)"),
 ], ids=["1-D inputs", "wide measurements"])
 def test_recorded_shapes_checked(estimator, inputs, measurements, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         estimator(bench_system(5, with_output=True), bench_noise(5), inputs, measurements)
 
 
@@ -441,6 +441,9 @@ def smooth_spoiled(beliefs: str, array: str, at: tuple, bad: float = np.nan) -> 
     (lambda: smooth_spoiled("predicted", "covs", (3, 0, 0)), "predicted.covs"),
     (lambda: smoother_run(LtvSystem.lti(NAN_RV, B_BENCH, C_BENCH, horizon=5), bench_noise(5),
                           filter_run(bench_system(5, True), bench_noise(5), ZEROS, ZEROS)), "A"),
+    (lambda: mayne_murdoch_gain([0.5, np.nan], [0.1, 0.2], [1.0, 1.0]), "open_eigs"),
+    (lambda: mayne_murdoch_gain([0.2, 0.8], [0.3 + 0.4j, complex(0.3, np.inf)], [1.0, 1.0]),
+     "desired_eigs"),
 ], ids=["filter_update inf Rv", "filter_update nan Rv", "filter_update nan belief",
         "filter_update observer belief",
         "predictor_step inf Rv", "filter_predict nan Qd", "luenberger_step inf y",
@@ -451,7 +454,8 @@ def smooth_spoiled(beliefs: str, array: str, at: tuple, bad: float = np.nan) -> 
         "filter_run nan measurement", "predictor_run inf input", "filter_run nan A",
         "predictor_run inf C entry", "optimal_cost nan x0", "smoother_run nan updated mean",
         "smoother_run inf updated cov", "smoother_run nan predicted mean",
-        "smoother_run nan predicted cov", "smoother_run nan A"])
+        "smoother_run nan predicted cov", "smoother_run nan A", "mayne_murdoch_gain nan open eig",
+        "mayne_murdoch_gain inf complex desired eig"])
 def test_step_functions_name_a_non_finite_argument(call, name):
     # an inf on the diagonal of an SPD solve's S passes its Cholesky and drops
     # that row (filter_update's mean came back [0, 0.5]); a nan came back as
@@ -465,17 +469,24 @@ def test_step_functions_name_a_non_finite_argument(call, name):
         call()
 
 
-@pytest.mark.parametrize("recorded", [
-    lambda: predictor_run(bench_system(5, True), bench_noise(5), ZEROS, ZEROS),
-    lambda: filter_run(bench_system(6, True), bench_noise(6), np.zeros((6, 1)), np.zeros((6, 1))),
-], ids=["predictor-run", "other-horizon"])
-def test_smoother_rejects_a_mis_sized_filter_run(recorded):
-    # for N = 5, a predictor run stores no (k|k) beliefs, and an N = 6
-    # filter run would read an A_5 that the system does not have
+@pytest.mark.parametrize("recorded, message", [
+    (lambda: predictor_run(bench_system(5, True), bench_noise(5), ZEROS, ZEROS),
+     "updated.means has shape (0, 2), expected (6, 2)"),
+    (lambda: filter_run(bench_system(6, True), bench_noise(6), np.zeros((6, 1)),
+                        np.zeros((6, 1))),
+     "updated.means has shape (7, 2), expected (6, 2)"),
+    (lambda: filter_run(LtvSystem.lti(np.eye(3), np.ones((3, 1)), np.ones((1, 3)), horizon=5),
+                        NoiseModel.constant(np.eye(3), np.eye(1), np.zeros(3), np.eye(3),
+                                            horizon=5), ZEROS, ZEROS),
+     "updated.means has shape (6, 3), expected (6, 2)"),
+], ids=["predictor-run", "other-horizon", "other-state-order"])
+def test_smoother_rejects_a_mis_sized_filter_run(recorded, message):
+    # for N = 5, a predictor run stores no (k|k) beliefs, an N = 6 filter
+    # run would read an A_5 that the system does not have, and a 3-state
+    # run's covariances do not conform to the 2-state A
     with pytest.raises(ValueError) as info:
         smoother_run(bench_system(5, True), bench_noise(5), recorded())
-    assert str(info.value) == \
-        "filter run must store beliefs (k|k) for k=0..N and (k|k-1) for k=1..N"
+    assert str(info.value) == message
 
 
 class TestBeliefSequence:

@@ -215,13 +215,18 @@ class TestEvaluateCost:
 
 @pytest.mark.parametrize("call, message", [
     (lambda: evaluate_cost(Trajectory(np.zeros((6, 2)), np.zeros((4, 1))), bench_weights(5)),
-     "4 inputs for 6 states"),
+     "trajectory.inputs has shape (4, 1), expected (5, 1)"),
+    (lambda: evaluate_cost(Trajectory(np.zeros(6), np.zeros((5, 1))), bench_weights(5)),
+     "trajectory.states has shape (6,), expected (6, 2)"),
     (lambda: mayne_murdoch_gain([0.5, 0.6], [0.1], [1.0, 1.0]),
      "open_eigs, desired_eigs, B_diag must have equal length"),
     (lambda: settling_report(solve_lqr(bench_system(5), bench_weights(5)),
                              simulate_closed_loop(bench_system(6), K_STEADY, X0_BENCH)),
      "solution horizon 5 does not match trajectory 6"),
-], ids=["evaluate_cost", "mayne_murdoch_gain", "settling_report"])
+    (lambda: solve_lqr(bench_system(5), bench_weights(5)).optimal_cost(np.ones(3)),
+     "x0 has shape (3,), expected (2,)"),
+], ids=["evaluate_cost", "evaluate_cost 1-D states", "mayne_murdoch_gain", "settling_report",
+        "optimal_cost"])
 def test_mismatched_lengths_rejected(call, message):
     with pytest.raises(ValueError) as info:
         call()

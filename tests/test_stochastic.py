@@ -28,9 +28,9 @@ def random_joint(rng, n=2, p=2):
 @pytest.mark.parametrize("call, message", [
     (lambda: GaussianStream(0).standard_normal(-1), "count must be nonnegative"),
     (lambda: multivariate_gaussian_pdf(np.zeros(3), GaussianVector(np.zeros(2), np.eye(2))),
-     "x must have shape (2,), got (3,)"),
+     "x has shape (3,), expected (2,)"),
     (lambda: condition(JointGaussian([0.0], [0.0], [[1.0]], [[0.5]], [[1.0]]), [1.0, 2.0]),
-     "y_obs must have shape (1,), got (2,)"),
+     "y_obs has shape (2,), expected (1,)"),
 ], ids=["count", "pdf-x", "condition-y_obs"])
 def test_malformed_argument_named(call, message):
     with pytest.raises(ValueError) as info:
