@@ -272,7 +272,7 @@ def _scaled(cov: MatrixSchedule, z: np.ndarray) -> np.ndarray:
     return scaled
 
 
-def _simulate(s: Scenario, plan: _Plan, seeds: list[int]
+def _simulate(s: Scenario, plan: _Plan, seeds: list[int], observed: bool = True
               ) -> tuple[MonteCarloResult, _StackedPass]:
     """Draw each seed's noise, then move every seed's true state and
     estimate means together, one stacked product per matrix and step.
@@ -283,14 +283,19 @@ def _simulate(s: Scenario, plan: _Plan, seeds: list[int]
     at a time (see `_scaled`), so the pass holds no factor.
     Returns the stacked runs with the pass that made them.  A run with a
     given x0 and no noise model draws nothing.
+
+    observed=False (a true-state sweep, see `_points`) moves the true
+    states alone and measures and estimates nothing; v's normals are still
+    drawn, as the stream interleaves them with d's, but not scaled.
     """
-    est = plan.estimator
+    est = plan.estimator if observed else None
     system, noise = s.system, s.noise
     n, m, p, N, S = system.n, system.m, system.p, system.N, len(seeds)
-    measuring = p > 0 and noise is not None
+    sensed = p > 0 and noise is not None       # v is drawn whenever the truth has a sensor
+    measuring = sensed and observed
 
     head = n if s.x0 is None else 0
-    counts = (n, p) if measuring else (n,) if noise is not None else ()
+    counts = (n, p) if sensed else (n,) if noise is not None else ()
     if head or counts:
         heads, z = _predraw([GaussianStream(seed) for seed in seeds], head, counts, N)
     if s.x0 is not None:
@@ -479,11 +484,13 @@ def sweep(scenario: Scenario, axis: str, values, tol: float = 1e-10,
     sweep builds the seed-independent half of a run (validation, controller
     synthesis, estimator gain and covariance schedules) once and moves all
     its seeds in one stacked pass; its points equal independent runs bit
-    for bit.  That plan is kept for the Scenario object, not its values:
-    later `sweep`, `monte_carlo` and `run` calls on the same object with the
-    same tol and max_iter reuse it, `replace(scenario, seed=...)` is a new
-    object with a plan of its own, and the plan is freed with its scenario
-    (see `model._planned`).
+    for bit.  A point reads the estimator only through the plan's terminal
+    covariance, so under true-state feedback the pass moves the true states
+    alone and measures and estimates nothing.  The plan is kept for the
+    Scenario object, not its values: later `sweep`, `monte_carlo` and `run`
+    calls on the same object with the same tol and max_iter reuse it,
+    `replace(scenario, seed=...)` is a new object with a plan of its own,
+    and the plan is freed with its scenario (see `model._planned`).
     """
     values = [_sweep_value(axis, v) for v in values]
     if axis == "seed":
@@ -494,11 +501,15 @@ def sweep(scenario: Scenario, axis: str, values, tol: float = 1e-10,
 
 def _points(s: Scenario, seeds: list[int], values: list, tol: float, max_iter: int
             ) -> list[SweepPoint]:
-    """The sweep points of one stacked pass of s's plan over seeds."""
-    runs = _simulate(s, _plan(s, tol, max_iter), seeds)[0]
-    terminal_trace = None
-    if runs.covariances is not None:
-        terminal_trace = float(np.trace(runs.covariances[-1]))
+    """The sweep points of one stacked pass of s's plan over seeds.
+
+    A point reads the estimator only through the plan's terminal
+    covariance, so under true-state feedback the pass moves the truth alone.
+    """
+    plan = _plan(s, tol, max_iter)
+    runs = _simulate(s, plan, seeds, observed=s.feedback == "estimate")[0]
+    reported = plan.estimator.reported if plan.estimator is not None else None
+    terminal_trace = float(np.trace(reported[-1])) if reported is not None else None
     settling = runs.settling or [None] * len(seeds)
     costs = runs.costs if runs.costs is not None else [None] * len(seeds)
     return [SweepPoint(value=value, cost=float(cost) if cost is not None else None,

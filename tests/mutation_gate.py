@@ -70,6 +70,12 @@ MUTANTS = (
     Mutant("noise-steps-reuse-first-factor", "harness.py",
            "psd_factor(entry), z[:, k]", "psd_factor(entries[0]), z[:, k]",
            ("tests/test_harness.py",)),
+    Mutant("sweep-truth-only-under-estimate-feedback", "harness.py",
+           'observed=s.feedback == "estimate"', "observed=False",
+           ("tests/test_harness.py",)),
+    Mutant("sweep-trace-from-predicted", "harness.py",
+           "plan.estimator.reported if", "plan.estimator.predicted if",
+           ("tests/test_harness.py",)),
     Mutant("feedback-always-truth", "harness.py",
            'fed = -1 if s.feedback == "estimate" else 0', "fed = 0",
            ("tests/test_expected_cost.py", "tests/test_monte_carlo.py")),

@@ -8,6 +8,9 @@ report reads the gain drift; the recorded-data predictor, filter and
 smoother on that model; and fig4's estimators over N = 200 steps, where a
 constant model's covariance recursion sits on its exact fixed point for
 most steps.  The SPD solves run at orders 9 (gains) and 16 (smoother).
+Seed sweeps of the same cases print every `SweepPoint` field: a sweep
+under true-state feedback moves the true states alone, and one under
+estimate feedback (the n = 16 model with a filter) moves the means too.
 
     PYTHONPATH=src python tests/run_hashes.py > hashes.txt
 
@@ -20,7 +23,7 @@ from importlib import resources
 import numpy as np
 from lqgkit import (LqrWeights, LtvSystem, MatrixSchedule, NoiseModel, Scenario,
                     filter_run, monte_carlo, parse_scenario, predictor_run, run,
-                    smoother_run)
+                    smoother_run, sweep)
 from lqgkit.estimation import BeliefSequence
 from lqgkit.harness import _with_horizon
 n, m, p, N = 16, 9, 9, 30
@@ -53,6 +56,12 @@ def show(name, value):
 for seed in (3, 11):
     show(f"run(seed={seed})", run(replace(scenario, seed=seed)))
 show("monte_carlo", monte_carlo(scenario, [3, 11, 12]))
+def show_sweep(name, points):
+    for point in points:
+        show(f"{name} sweep(seed={point.value})", point)
+show_sweep("true-state smoother", sweep(scenario, "seed", [3, 11, 12]))
+show_sweep("estimate-fed filter", sweep(replace(scenario, estimator="filter",
+                                                feedback="estimate"), "seed", [3, 11, 12]))
 inputs, measurements = rng.standard_normal((N, m)), rng.standard_normal((N, p))
 filtered = filter_run(system, noise, inputs, measurements)
 show("filter_run", filtered)
@@ -63,5 +72,7 @@ fig4 = _with_horizon(parse_scenario(
 for estimator in ("predictor", "filter", "smoother"):
     show(f"fig4 N=200 {estimator}",
          monte_carlo(replace(fig4, estimator=estimator), [3, 11, 12]))
+    show_sweep(f"fig4 N=200 {estimator}",
+               sweep(replace(fig4, estimator=estimator), "seed", [3, 11, 12]))
 # any scipy module loads the scipy package first
 assert "scipy" not in sys.modules, "these runs imported scipy"

@@ -39,7 +39,7 @@ from lqgkit import (
     smoother_run,
     sweep,
 )
-from lqgkit import harness, model
+from lqgkit import estimation, harness, model
 from lqgkit.cli import _bundled_scenario
 from lqgkit.estimation import BeliefSequence
 from lqgkit._linalg import psd_factor
@@ -445,6 +445,16 @@ class TestSweep:
         assert sweep(s, "N", [10, 50]) == [point(N, run(_with_horizon(s, N))) for N in (10, 50)]
         assert sweep(s, "N", [50]) == [point(50, run(s))]
 
+    @pytest.mark.parametrize("feedback", FEEDBACK)
+    @pytest.mark.parametrize("axis", ["R-scale", "Q-scale"])
+    def test_scale_sweep_of_a_noisy_scenario_equals_runs(self, axis, feedback):
+        # the scale axes rescale the weights of a scenario that measures and
+        # estimates; each point is the run of its rescaled scenario
+        s = replace(fig4_scenario(), feedback=feedback)
+        values = [0.5, 4.0]
+        assert sweep(s, axis, values) == \
+            [point(v, run(harness._varied(s, axis, v))) for v in values]
+
     def test_order_stable(self):
         points = sweep(fig1_scenario(5), "N", [50, 5])
         assert [pt.value for pt in points] == [50.0, 5.0]
@@ -536,6 +546,27 @@ def test_seed_sweep_equals_independent_runs(scenario, seeds):
     # one shared plan across seeds must give exactly what per-seed runs give
     assert sweep(scenario, "seed", seeds) == \
         [point(v, run(replace(scenario, seed=v))) for v in seeds]
+
+
+def test_true_state_sweep_corrects_no_estimate(monkeypatch):
+    # under true-state feedback no point reads the estimate means, so the
+    # sweep's pass moves the truth alone; estimate feedback and monte_carlo
+    # still correct the means
+    seeds = [7, 3, 0]
+    scenarios = {est: fig4_scenario(estimator=est) for est in ("predictor", "filter", "smoother")}
+    expected = {est: [point(v, run(replace(s, seed=v))) for v in seeds]
+                for est, s in scenarios.items()}
+
+    def correct(*args, **kwargs):
+        raise RuntimeError("an estimate mean was corrected")
+    monkeypatch.setattr(estimation, "_correct", correct)
+    for est, s in scenarios.items():
+        assert sweep(s, "seed", seeds) == expected[est]
+    for est in ("predictor", "filter"):
+        with pytest.raises(RuntimeError, match="corrected"):
+            sweep(replace(scenarios[est], feedback="estimate"), "seed", seeds)
+    with pytest.raises(RuntimeError, match="corrected"):
+        monte_carlo(scenarios["filter"], seeds)
 
 
 def psd_schedule(rng, r, N, singular):
